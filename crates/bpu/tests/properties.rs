@@ -65,7 +65,7 @@ proptest! {
         entries in proptest::collection::vec((0usize..64, any::<u8>(), 0u8..32, any::<u64>()), 1..64)
     ) {
         let mut btb = Btb::new(BtbConfig { sets: 64, ways: 4 });
-        let mut last = std::collections::HashMap::new();
+        let mut last = std::collections::BTreeMap::new();
         for (set, tag, off, payload) in &entries {
             btb.insert(*set, *tag as u64, *off, *payload);
             last.insert((*set, *tag, *off), *payload);

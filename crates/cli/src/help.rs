@@ -401,44 +401,6 @@ examples:
 ",
     },
     Sub {
-        name: "analyze",
-        summary: "workspace static-analysis gate (determinism, lock-scope, panic-freedom)",
-        help: "\
-usage: stbpu analyze [--format human|json] [--root DIR] [--allowlist FILE] [--out FILE]
-       stbpu analyze --list-lints
-
-Walks every workspace crate's src/ tree through the hand-rolled lint
-engine in crates/analyze and reports positioned diagnostics
-(file:line:col, lint id, rationale). Exit 0 means clean; any finding not
-covered by the checked-in allowlist exits 1 — CI runs this as a hard
-gate. Lints: lock-scope (no blocking I/O while a Mutex guard is live),
-determinism (no HashMap/HashSet iteration where order can reach
-serialized output), wall-clock (no Instant::now/SystemTime in
-OAE-affecting crates), panic-freedom (no unwrap/expect/panic!/unchecked
-indexing in serve request/decode paths). #[cfg(test)] scopes are always
-skipped.
-
-Findings are suppressible only via ci/analyze-allow.toml, where every
-entry names a lint, file, source pattern and a written justification
-(see CONTRIBUTING.md). Stale entries warn but do not fail.
-
-  --format F            human|json (default human; json is the CI
-                        artifact schema)
-  --root DIR            workspace root (default: walk up from the
-                        working directory to the [workspace] manifest)
-  --allowlist FILE      allowlist path (default <root>/ci/analyze-allow.toml;
-                        a missing file is an empty allowlist)
-  --out FILE            write the report to FILE instead of stdout
-  --list-lints          print the lint catalog (id, invariant, rationale,
-                        path scope) and exit
-
-examples:
-  stbpu analyze
-  stbpu analyze --format json --out bench-artifacts/analyze-report.json
-  stbpu analyze --list-lints
-",
-    },
-    Sub {
         name: "list",
         summary: "list registered models, workloads, suites and figures",
         help: "\

@@ -20,7 +20,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod analyze_cmd;
 pub mod args;
 mod attack;
 mod bench_cmd;
@@ -173,7 +172,6 @@ pub fn run(argv: &[String]) -> i32 {
         "bench" => bench_cmd::run(rest),
         "checkpoint" => checkpoint_cmd::run(rest),
         "serve" => serve_cmd::run(rest),
-        "analyze" => analyze_cmd::run(rest),
         "list" => list(rest),
         other => {
             eprintln!(

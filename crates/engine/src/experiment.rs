@@ -18,9 +18,10 @@ use crate::resume::{cell_path, run_cell, suite_from_json_line, suite_to_json_lin
 use crate::stats::{geomean, mean};
 use crate::workload::Workload;
 use stbpu_sim::{
-    fnv1a64, simulate_with, IntervalRecorder, IntervalWindow, Protection, SessionOptions,
-    SimOptions, SimReport, SimSession, Warmup,
+    simulate_with, IntervalRecorder, IntervalWindow, Protection, SessionOptions, SimOptions,
+    SimReport, SimSession, Warmup,
 };
+use stbpu_trace::binfmt::fnv1a64;
 use stbpu_trace::{EventSource, Trace, WorkloadProfile};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};

@@ -22,6 +22,16 @@
 //! [`stbpu_trace::EventSource::skip_events`]. Both paths are
 //! bit-identical to never having been killed (test- and CI-enforced).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::error::EngineError;
 use crate::experiment::{RunRecord, Scenario};
 use crate::minijson::{escape, Json};

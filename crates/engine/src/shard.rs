@@ -40,9 +40,9 @@ use crate::parallel::parallel_map;
 use crate::registry::ModelRegistry;
 use crate::workload::Workload;
 use stbpu_sim::{
-    fnv1a64, Checkpoint, IntervalWindow, OwnedSession, Protection, SessionOptions, SimReport,
-    Warmup,
+    Checkpoint, IntervalWindow, OwnedSession, Protection, SessionOptions, SimReport, Warmup,
 };
+use stbpu_trace::binfmt::fnv1a64;
 use stbpu_trace::{EventSource, TraceEvent};
 use std::path::{Path, PathBuf};
 

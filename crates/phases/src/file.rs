@@ -35,10 +35,20 @@
 //! unambiguous.
 //!
 //! Decoding is total: any truncated, corrupt or alien input produces a
-//! positioned [`PhaseError`], never a panic (this module is in the
-//! `stbpu analyze` panic-freedom lint scope).
+//! positioned [`PhaseError`], never a panic (the `#![deny]` below bans
+//! `unwrap`, `expect`, unchecked indexing and the panic macros).
 
-use stbpu_trace::binfmt::{decode_varint, push_varint};
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
+use stbpu_trace::binfmt::{decode_varint, fnv1a64, push_varint};
 use std::path::Path;
 
 /// Magic bytes opening every phase file.
@@ -371,20 +381,6 @@ impl PhaseFile {
     pub fn fully_warm(&self) -> bool {
         self.phases.iter().all(PhaseEntry::has_checkpoint)
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64 over `data` — the phase-file trailer checksum (the same
-/// function `.stck` checkpoints use).
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -14,8 +14,7 @@
 //! seeding uses the workspace's seeded [`rand::rngs::StdRng`]
 //! (compat shim), points are visited in slice order, ties break toward
 //! the lowest index, and no hash-ordered container is ever iterated —
-//! this module sits in the `stbpu analyze` determinism and wall-clock
-//! lint scopes.
+//! the crate's `clippy.toml` bans `HashMap`/`HashSet` and clock reads.
 
 use crate::file::PhaseEntry;
 use rand::rngs::StdRng;

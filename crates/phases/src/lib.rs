@@ -33,5 +33,5 @@
 pub mod file;
 pub mod kmeans;
 
-pub use file::{fnv1a64, PhaseEntry, PhaseError, PhaseFile, STBP_MAGIC, STBP_VERSION};
+pub use file::{PhaseEntry, PhaseError, PhaseFile, STBP_MAGIC, STBP_VERSION};
 pub use kmeans::{cluster_slices, phase_entries, ClusterConfig, Clustering};

@@ -28,9 +28,19 @@
 //!   prediction was made — so replayed streams reproduce bit-identical
 //!   state.
 //!
-//! Decode-path discipline: this file is in the `stbpu analyze`
-//! panic-freedom scope — all table accesses are checked (`.get`), and
-//! malformed snapshots surface as [`SnapError`]s, never panics.
+//! Decode-path discipline: the `#![deny]` below bans panicking calls —
+//! all table accesses are checked (`.get`), and malformed snapshots
+//! surface as [`SnapError`]s, never panics.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use stbpu_bpu::{check_len, Mapper, SnapError, StateReader, StateWriter, MAX_THREADS};
 

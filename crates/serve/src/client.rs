@@ -7,6 +7,16 @@
 //! honored transparently: [`SessionHandle::send_chunk`] blocks after the
 //! server's `Backpressure` frame until the matching `Resume`.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::protocol::{ClientMsg, ErrorCode, FrameReader, Hello, ServerMsg, WireReport};
 use stbpu_sim::IntervalWindow;
 use stbpu_trace::binfmt::BinTraceWriter;
@@ -65,13 +75,18 @@ impl From<io::Error> for ServeError {
 /// State shared between the client, its handles, and the reader thread.
 /// `routes` is a `BTreeMap` because the reader broadcasts session-0
 /// errors by iterating it — delivery order must be deterministic (the
-/// determinism lint enforces this).
+/// crate's `clippy.toml` bans `HashMap`/`HashSet`).
 struct Inner {
     writer: Mutex<TcpStream>,
     routes: Mutex<BTreeMap<u64, Sender<ServerMsg>>>,
 }
 
 impl Inner {
+    /// Writes one whole encoded frame under the writer mutex. Holding the
+    /// lock across the write is deliberate: it serializes frames from
+    /// concurrent session handles onto the one socket. The lock covers
+    /// exactly one `write_all` and nothing can deadlock against it — the
+    /// reader thread never takes it.
     fn send(&self, msg: &ClientMsg) -> Result<(), ServeError> {
         let mut wire = Vec::new();
         msg.encode(&mut wire);
@@ -192,6 +207,10 @@ fn reader_loop(mut stream: TcpStream, inner: &Arc<Inner>) {
             Ok(0) | Err(_) => break,
             Ok(n) => n,
         };
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "Read::read just above returned n <= buf.len()"
+        )]
         frames.extend(&buf[..n]);
         loop {
             let body = match frames.next_frame() {

@@ -21,6 +21,16 @@
 //! high bit set (`0x81..=0x86`); a peer receiving a tag from the wrong
 //! direction rejects it.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use stbpu_sim::{IntervalWindow, SimReport};
 use stbpu_trace::binfmt::{decode_varint, push_varint};
 use std::fmt;
@@ -133,7 +143,7 @@ impl FrameReader {
     /// connection should be dropped.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
         let at = self.base + self.pos as u64;
-        let avail = &self.buf[self.pos..];
+        let avail = self.buf.get(self.pos..).unwrap_or_default();
         let (len, n) = match decode_varint(avail) {
             Ok(Some(v)) => v,
             Ok(None) => {
@@ -160,11 +170,11 @@ impl FrameReader {
             });
         }
         let len = len as usize;
-        if avail.len() < n + len {
+        let Some(body) = avail.get(n..n + len) else {
             self.compact();
             return Ok(None);
-        }
-        let body = avail[n..n + len].to_vec();
+        };
+        let body = body.to_vec();
         self.pos += n + len;
         self.compact();
         Ok(Some(body))
@@ -206,7 +216,7 @@ impl<'a> Cur<'a> {
     }
 
     fn varint(&mut self, what: &str) -> Result<u64, String> {
-        match decode_varint(&self.data[self.pos..]) {
+        match decode_varint(self.rest()) {
             Ok(Some((v, n))) => {
                 self.pos += n;
                 Ok(v)
@@ -224,10 +234,10 @@ impl<'a> Cur<'a> {
             ));
         }
         let end = self.pos + len;
-        if end > self.data.len() {
+        let Some(bytes) = self.data.get(self.pos..end) else {
             return Err(format!("truncated {what} (declares {len} bytes)"));
-        }
-        let s = std::str::from_utf8(&self.data[self.pos..end])
+        };
+        let s = std::str::from_utf8(bytes)
             .map_err(|_| format!("{what} is not UTF-8"))?
             .to_string();
         self.pos = end;
@@ -235,20 +245,17 @@ impl<'a> Cur<'a> {
     }
 
     fn f64(&mut self, what: &str) -> Result<f64, String> {
-        let end = self.pos + 8;
-        if end > self.data.len() {
+        let Some(bytes) = self.rest().first_chunk::<8>() else {
             return Err(format!("truncated {what} (needs 8 bytes)"));
-        }
-        let bits = match self.data[self.pos..end].try_into() {
-            Ok(bytes) => u64::from_le_bytes(bytes),
-            Err(_) => return Err(format!("truncated {what} (needs 8 bytes)")),
         };
-        self.pos = end;
+        let bits = u64::from_le_bytes(*bytes);
+        self.pos += 8;
         Ok(f64::from_bits(bits))
     }
 
-    fn rest(self) -> &'a [u8] {
-        &self.data[self.pos..]
+    /// The unread bytes (empty once `pos` reaches the end).
+    fn rest(&self) -> &'a [u8] {
+        self.data.get(self.pos..).unwrap_or_default()
     }
 
     fn done(self, tag: &str) -> Result<(), String> {

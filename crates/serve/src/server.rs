@@ -28,6 +28,16 @@
 //! wedges nothing; its first timed-out write kills its own connection
 //! and frees whatever worker was serving it.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::protocol::{ClientMsg, ErrorCode, FrameReader, Hello, ServerMsg, WireReport};
 use stbpu_engine::{auto_protection, protection_from_str, ModelCore, ModelRegistry};
 use stbpu_sim::{OwnedSession, SessionOptions, Warmup};
@@ -228,7 +238,7 @@ impl ConnWriter {
 /// Registry + run queue, under one lock. Both maps are `BTreeMap` on
 /// purpose: the sweep and cleanup paths iterate them, and anything that
 /// iterates registry state must do so in a deterministic order (the
-/// determinism lint enforces this).
+/// crate's `clippy.toml` bans `HashMap`/`HashSet`).
 struct State {
     sessions: BTreeMap<Key, Slot>,
     ready: VecDeque<Key>,
@@ -239,8 +249,8 @@ struct State {
 /// from poisoning via `unwrap_or_else(PoisonError::into_inner)` rather
 /// than unwrapping: a panicking thread elsewhere must degrade one
 /// session, not wedge the registry for every live connection — each path
-/// re-validates the slot it touches anyway. (The panic-freedom lint bans
-/// the `unwrap()` form in this file.)
+/// re-validates the slot it touches anyway. (This file's
+/// `#![deny(clippy::unwrap_used, ...)]` bans the `unwrap()` form.)
 struct Shared {
     cfg: ServerConfig,
     registry: ModelRegistry,
@@ -458,6 +468,10 @@ fn conn_loop(shared: &Arc<Shared>, stream: TcpStream, conn_id: u64) {
         match stream.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "Read::read just above returned n <= buf.len()"
+                )]
                 frames.extend(&buf[..n]);
                 loop {
                     match frames.next_frame() {

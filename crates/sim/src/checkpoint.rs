@@ -30,13 +30,23 @@
 //! configuration never travels in the blob — only mutable state does.
 //!
 //! Decoding is total: any truncated, corrupt or alien input produces a
-//! positioned [`CheckpointError`], never a panic (this module is in the
-//! `stbpu analyze` panic-freedom lint scope).
+//! positioned [`CheckpointError`], never a panic (the `#![deny]` below
+//! bans `unwrap`, `expect`, unchecked indexing and the panic macros).
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use crate::session::OwnedSession;
 use crate::{Protection, SimError};
 use stbpu_bpu::{Bpu, SnapError, StateReader, StateWriter};
-use stbpu_trace::binfmt::{decode_varint, push_varint};
+use stbpu_trace::binfmt::{decode_varint, fnv1a64, push_varint};
 use std::path::Path;
 
 /// Magic bytes opening every checkpoint file.
@@ -125,19 +135,6 @@ pub struct Checkpoint {
     pub session_state: Vec<u8>,
     /// Opaque model state snapshot.
     pub model_state: Vec<u8>,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64 over `data` — the checkpoint trailer checksum.
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// Bounds-checked cursor over an encoded checkpoint.

@@ -65,7 +65,7 @@ mod checkpoint;
 mod observer;
 mod session;
 
-pub use checkpoint::{fnv1a64, Checkpoint, CheckpointError, STCK_MAGIC, STCK_VERSION};
+pub use checkpoint::{Checkpoint, CheckpointError, STCK_MAGIC, STCK_VERSION};
 pub use observer::{FlushKind, IntervalRecorder, IntervalWindow, SimObserver};
 pub use session::{OwnedSession, SessionOptions, SimSession, Warmup};
 

@@ -22,8 +22,18 @@
 //! The extraction is a single streaming pass in O(distinct blocks)
 //! memory, reads no clocks, iterates no hash-ordered containers
 //! ([`std::collections::BTreeMap`] keeps vectors ordered), and never
-//! panics on any input — it sits inside the `stbpu analyze` wall-clock,
-//! determinism and panic-freedom lint scopes.
+//! panics on any input. The crate's `clippy.toml` bans clock reads and
+//! hash containers; the `#![deny]` below bans panicking calls.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use crate::event::TraceEvent;
 use crate::source::{EventSource, SourceError};

@@ -219,6 +219,20 @@ pub fn decode_varint(data: &[u8]) -> Result<Option<(u64, usize)>, VarintOverflow
     Ok(None)
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64 over `data` — the trailer checksum of the `.stck` checkpoint
+/// and `.stbp` phase-file containers, and the engine's grid/cell keys.
+pub fn fnv1a64(data: &[u8]) -> u64 {
+    let mut h = FNV_OFFSET;
+    for &b in data {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
 /// Branch kind from its stable [`BranchKind::index`] value.
 fn kind_from_index(i: u8) -> Option<BranchKind> {
     BranchKind::ALL.get(i as usize).copied()

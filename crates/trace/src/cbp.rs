@@ -61,6 +61,16 @@
 //! assert_eq!(back.branch_count(), t.branch_count());
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::event::{Trace, TraceEvent};
 use crate::source::{EventSource, SourceError};
 use stbpu_bpu::{BranchKind, BranchRecord, VirtAddr, VA_BITS, VA_MASK};
@@ -189,13 +199,18 @@ fn type_from_kind(kind: BranchKind) -> u8 {
     }
 }
 
-/// Decodes one fixed-size record (the caller passes at least
-/// [`RECORD_LEN`] bytes). Validation is total — every malformed byte
-/// pattern maps to a message, never a panic.
+/// Decodes one fixed-size record from the front of `rec`. Validation is
+/// total — every malformed byte pattern maps to a message, never a panic.
 fn decode_record(rec: &[u8]) -> Result<TraceEvent, String> {
+    let Some(rec) = rec.first_chunk::<RECORD_LEN>() else {
+        return Err(format!(
+            "truncated record: {} trailing bytes, a record needs {RECORD_LEN}",
+            rec.len()
+        ));
+    };
     let pc = le_u64(&rec[0..8]);
-    let ty = rec.get(8).copied().unwrap_or(0);
-    let taken = rec.get(9).copied().unwrap_or(0);
+    let ty = rec[8];
+    let taken = rec[9];
     let target = le_u64(&rec[10..18]);
     let kind = kind_from_type(ty)
         .ok_or_else(|| format!("bad branch type {ty} (valid types are 0..=5)"))?;
@@ -302,8 +317,8 @@ impl<R: Read> CbpReader<R> {
             record: 0,
             msg,
         };
-        let head = &self.buf[..self.filled];
-        if head.len() < 4 || head[0..4] != MAGIC {
+        let head = self.buf.get(..self.filled).unwrap_or_default();
+        if head.get(..4) != Some(&MAGIC[..]) {
             let found: Vec<u8> = head.iter().take(4).copied().collect();
             return Err(err(
                 0,
@@ -319,12 +334,12 @@ impl<R: Read> CbpReader<R> {
                 ),
             ));
         }
-        if head.len() < HEADER_LEN {
+        let Some(head) = head.first_chunk::<HEADER_LEN>() else {
             return Err(err(
                 head.len() as u64,
                 format!("truncated header: {} bytes, need {HEADER_LEN}", head.len()),
             ));
-        }
+        };
         let version = le_u64(&head[4..6]) as u16;
         self.version = version;
         if version != VERSION {
@@ -361,14 +376,16 @@ impl<R: Read> CbpReader<R> {
         self.filled -= self.pos;
         self.pos = 0;
         while self.filled < self.buf.len() && !self.eof {
-            let n = self
-                .r
-                .read(&mut self.buf[self.filled..])
-                .map_err(|e| CbpError {
-                    offset: self.base + self.filled as u64,
-                    record: self.records + 1,
-                    msg: format!("I/O error: {e}"),
-                })?;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "the loop condition checks filled < buf.len()"
+            )]
+            let free = &mut self.buf[self.filled..];
+            let n = self.r.read(free).map_err(|e| CbpError {
+                offset: self.base + self.filled as u64,
+                record: self.records + 1,
+                msg: format!("I/O error: {e}"),
+            })?;
             if n == 0 {
                 self.eof = true;
             }
@@ -404,17 +421,10 @@ impl<R: Read> CbpReader<R> {
             self.done = true;
             return Ok(None);
         }
-        let remaining = self.filled - self.pos;
-        if remaining < RECORD_LEN {
-            return Err(self.record_error(
-                self.pos,
-                format!(
-                    "truncated record: {remaining} trailing bytes, a record needs {RECORD_LEN}"
-                ),
-            ));
-        }
+        // A short tail is reported by `decode_record` as a truncated record.
         let start = self.pos;
-        match decode_record(&self.buf[start..start + RECORD_LEN]) {
+        let rest = self.buf.get(start..self.filled).unwrap_or_default();
+        match decode_record(rest) {
             Ok(ev) => {
                 self.pos += RECORD_LEN;
                 self.records += 1;
@@ -475,7 +485,12 @@ impl<R: Read> EventSource for CbpReader<R> {
             let soft_end = self.filled - RECORD_LEN;
             let mut i = self.pos;
             while buf.len() < max && i <= soft_end {
-                match decode_record(&self.buf[i..i + RECORD_LEN]) {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "the loop condition checks i <= soft_end = filled - RECORD_LEN"
+                )]
+                let rec = &self.buf[i..i + RECORD_LEN];
+                match decode_record(rec) {
                     Ok(ev) => {
                         buf.push(ev);
                         self.records += 1;

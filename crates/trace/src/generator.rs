@@ -367,6 +367,7 @@ impl EventSource for GeneratorSource {
     }
 }
 
+// Not `binfmt::fnv1a64`: this multiplier is not the FNV prime, and it seeds every generated trace.
 fn hash_name(name: &str) -> u64 {
     name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
@@ -422,8 +423,8 @@ mod tests {
     fn server_profile_uses_two_threads_and_many_processes() {
         let p = profiles::by_name("apache2_prefork_c128").unwrap();
         let t = TraceGenerator::new(p, 5).generate(20_000);
-        let mut tids = std::collections::HashSet::new();
-        let mut entities = std::collections::HashSet::new();
+        let mut tids = std::collections::BTreeSet::new();
+        let mut entities = std::collections::BTreeSet::new();
         for e in t.events() {
             match e {
                 TraceEvent::Branch { tid, .. } => {

@@ -3,7 +3,6 @@
 //! Re-exports the individual crates so examples and integration tests can use
 //! one import root. See the workspace README for the architecture overview.
 
-pub use stbpu_analyze as analyze;
 pub use stbpu_attacks as attacks;
 pub use stbpu_bpu as bpu;
 pub use stbpu_core as stcore;
