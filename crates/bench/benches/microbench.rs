@@ -49,11 +49,20 @@ fn bench_mappers(c: &mut Criterion) {
     });
     let mut st = StMapper::new(StConfig::default(), 1);
     st.set_entity(0, EntityId::user(1));
-    g.bench_function("stbpu", |b| {
+    // An ever-advancing pc misses the R1 memo every time: the circuit cost.
+    g.bench_function("stbpu_miss", |b| {
         let mut pc = 0x4000u64;
         b.iter(|| {
             pc = pc.wrapping_add(0x44);
             black_box(st.btb1(0, pc))
+        })
+    });
+    // A 64-pc working set stays resident in the memo: the hit cost.
+    g.bench_function("stbpu_hit", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 1) % 64;
+            black_box(st.btb1(0, 0x4000 + i * 0x44))
         })
     });
     g.finish();

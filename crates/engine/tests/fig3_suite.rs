@@ -6,8 +6,8 @@
 //! the five protection schemes, and the engine registry + `run_scenarios`
 //! is the supported way to run them.
 
-use stbpu_engine::{run_scenarios, ModelRegistry, Scenario};
-use stbpu_sim::SimReport;
+use stbpu_engine::{run_scenarios, ModelCore, ModelRegistry, Scenario};
+use stbpu_sim::{simulate_with, Protection, SimOptions, SimReport};
 use stbpu_trace::{profiles, Trace, TraceGenerator};
 
 fn trace_for_seeded(name: &str, branches: usize, seed: u64) -> Trace {
@@ -99,4 +99,34 @@ fn partitioning_makes_ucode2_at_most_ucode1() {
         u2 <= u1 + 0.02,
         "STIBP partitioning should not help: u1 {u1}, u2 {u2}"
     );
+}
+
+/// The ST mapper memoizes its remap circuits, so the ~5 circuit calls per
+/// branch of ST_SKLCond (R3, R4 and R1 in both predict and update, plus
+/// R2 on indirect branches) cost at most one actual evaluation per branch
+/// on the CI baseline cell. The count is deterministic for a fixed trace
+/// and seed.
+#[test]
+fn stbpu_evaluates_at_most_one_remap_circuit_per_branch() {
+    const BRANCHES: usize = 200_000;
+    let trace = trace_for("541.leela", BRANCHES);
+    let mut model = ModelRegistry::standard()
+        .build("st_skl@r=0.05", 42)
+        .unwrap();
+    let opts = SimOptions {
+        warmup_frac: 0.0,
+        threads: Some(trace.thread_count().max(1)),
+    };
+    simulate_with(&mut model, Protection::Stbpu, &trace, &opts).unwrap();
+    let ModelCore::SklSt(bpu) = &model else {
+        panic!("st_skl builds the SKLCond x StMapper composition");
+    };
+    let evals = bpu.mapper().remap_evaluations();
+    let total: u64 = evals.iter().sum();
+    let per_branch = total as f64 / BRANCHES as f64;
+    assert!(
+        per_branch <= 1.0,
+        "{per_branch:.3} remap evaluations per branch (R1,R2,R3,R4,Rt,Rp = {evals:?})"
+    );
+    assert!(evals[0] > 0 && evals[2] > 0 && evals[3] > 0, "{evals:?}");
 }
