@@ -20,7 +20,7 @@ restore() {
 trap restore EXIT
 
 # The clean crates must pass first, or a failure below would prove nothing.
-cargo clippy -q -p stbpu-sim -p stbpu-engine -p stbpu-serve -- -D warnings
+cargo clippy -q -p stbpu-bpu -p stbpu-sim -p stbpu-engine -p stbpu-serve -- -D warnings
 
 failures=0
 
@@ -50,6 +50,8 @@ twin stbpu-sim crates/sim/src/session.rs disallowed_methods \
 twin stbpu-engine crates/engine/src/experiment.rs disallowed_types \
     '#[allow(dead_code)] fn lint_twin() -> std::collections::HashMap<u8, u8> { Default::default() }'
 twin stbpu-serve crates/serve/src/protocol.rs unwrap_used \
+    '#[allow(dead_code)] fn lint_twin(b: &[u8]) -> u8 { *b.first().unwrap() }'
+twin stbpu-bpu crates/bpu/src/snap.rs unwrap_used \
     '#[allow(dead_code)] fn lint_twin(b: &[u8]) -> u8 { *b.first().unwrap() }'
 
 if [ "$failures" -ne 0 ]; then

@@ -45,7 +45,7 @@ mod map;
 mod model;
 mod pht;
 mod rsb;
-mod snap;
+pub mod snap;
 mod stats;
 
 pub use addr::{EntityId, VirtAddr, VA_BITS, VA_MASK};

@@ -1115,6 +1115,32 @@ fn golden_stck_fixture_resumes_identically() {
         u64::from(stbpu_sim::STCK_VERSION)
     );
 
+    // The encoder side: the CONTRIBUTING recipe must regenerate the
+    // fixture byte for byte.
+    let regenerated = scratch("golden-regenerated.stck");
+    let create = stbpu(&[
+        "checkpoint",
+        "create",
+        "--model",
+        "st_skl@r=0.05",
+        "--trace-file",
+        trace.to_str().unwrap(),
+        "--at-branches",
+        "200",
+        "--warmup-branches",
+        "0",
+        "--seed",
+        "42",
+        "--out",
+        regenerated.to_str().unwrap(),
+    ]);
+    assert!(create.status.success(), "{}", stderr(&create));
+    assert!(
+        std::fs::read(&regenerated).unwrap() == std::fs::read(&golden).unwrap(),
+        "re-encoding ci/golden.stck drifted — if the format change is \
+         intentional, bump STCK_VERSION and refresh the fixture (see CONTRIBUTING.md)"
+    );
+
     let sim = stbpu(&[
         "simulate",
         "--resume-from",

@@ -17,11 +17,11 @@ use crate::report::{csv_header, protection_from_str, report_to_csv_row, report_t
 use crate::resume::{cell_path, run_cell, suite_from_json_line, suite_to_json_line};
 use crate::stats::{geomean, mean};
 use crate::workload::Workload;
+use stbpu_bpu::snap::{fnv1a64, write_atomic};
 use stbpu_sim::{
     simulate_with, IntervalRecorder, IntervalWindow, Protection, SessionOptions, SimOptions,
     SimReport, SimSession, Warmup,
 };
-use stbpu_trace::binfmt::fnv1a64;
 use stbpu_trace::{EventSource, Trace, WorkloadProfile};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -596,9 +596,7 @@ impl Experiment {
                     crate::minijson::escape(&self.name),
                     jobs.len()
                 );
-                let tmp = dir.join("manifest.json.tmp");
-                std::fs::write(&tmp, body).map_err(io_err)?;
-                std::fs::rename(&tmp, &manifest).map_err(io_err)?;
+                write_atomic(&manifest, body.as_bytes()).map_err(io_err)?;
             }
             Err(e) => return Err(io_err(e)),
         }

@@ -39,10 +39,10 @@ use crate::error::EngineError;
 use crate::parallel::parallel_map;
 use crate::registry::ModelRegistry;
 use crate::workload::Workload;
+use stbpu_bpu::snap::fnv1a64;
 use stbpu_sim::{
     Checkpoint, IntervalWindow, OwnedSession, Protection, SessionOptions, SimReport, Warmup,
 };
-use stbpu_trace::binfmt::fnv1a64;
 use stbpu_trace::{EventSource, TraceEvent};
 use std::path::{Path, PathBuf};
 

@@ -5,9 +5,9 @@
 //!
 //! # File format (version 1)
 //!
-//! All multi-byte scalars are little-endian; `varint` is the same LEB128
-//! encoding the `.stbt` trace and `.stck` checkpoint formats use
-//! ([`stbpu_trace::binfmt`]).
+//! All multi-byte scalars are little-endian; `varint` is the LEB128
+//! encoding of the workspace codec core ([`stbpu_bpu::snap`]), which also
+//! owns the header check and the checksum envelope.
 //!
 //! | field              | encoding                                   |
 //! |--------------------|--------------------------------------------|
@@ -48,13 +48,19 @@
     clippy::unimplemented
 )]
 
-use stbpu_trace::binfmt::{decode_varint, fnv1a64, push_varint};
+use stbpu_bpu::snap::{write_atomic, Format, SnapError};
 use std::path::Path;
 
 /// Magic bytes opening every phase file.
 pub const STBP_MAGIC: [u8; 4] = *b"STBP";
 /// Current format version.
 pub const STBP_VERSION: u16 = 1;
+
+const STBP: Format = Format {
+    magic: STBP_MAGIC,
+    version: STBP_VERSION,
+    known_flags: 0,
+};
 
 /// A decode/validation failure with the byte offset where it was
 /// detected (I/O failures report offset 0).
@@ -143,87 +149,30 @@ pub struct PhaseFile {
     pub phases: Vec<PhaseEntry>,
 }
 
-/// Bounds-checked cursor over an encoded phase file.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn err(&self, msg: impl Into<String>) -> PhaseError {
-        PhaseError::new(self.pos, msg)
-    }
-
-    fn rest(&self) -> &'a [u8] {
-        self.buf.get(self.pos..).unwrap_or(&[])
-    }
-
-    fn varint(&mut self, what: &str) -> Result<u64, PhaseError> {
-        match decode_varint(self.rest()) {
-            Ok(Some((v, n))) => {
-                self.pos += n;
-                Ok(v)
-            }
-            Ok(None) => Err(self.err(format!("truncated varint reading {what}"))),
-            Err(_) => Err(self.err(format!("varint overflow reading {what}"))),
-        }
-    }
-
-    fn bytes(&mut self, what: &str) -> Result<&'a [u8], PhaseError> {
-        let len = self.varint(what)?;
-        let len = usize::try_from(len)
-            .map_err(|_| self.err(format!("{what} length {len} exceeds address space")))?;
-        let end = self
-            .pos
-            .checked_add(len)
-            .ok_or_else(|| self.err(format!("{what} length overflows")))?;
-        let slice = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| self.err(format!("truncated {what}: {len} bytes declared")))?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn str(&mut self, what: &str) -> Result<&'a str, PhaseError> {
-        let start = self.pos;
-        let raw = self.bytes(what)?;
-        std::str::from_utf8(raw)
-            .map_err(|_| PhaseError::new(start, format!("{what} is not valid UTF-8")))
-    }
-}
-
 impl PhaseFile {
     /// Encodes the phase file into the `.stbp` byte format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&STBP_MAGIC);
-        out.extend_from_slice(&STBP_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes()); // flags
-        push_varint(&mut out, self.workload.len() as u64);
-        out.extend_from_slice(self.workload.as_bytes());
-        push_varint(&mut out, self.seed);
-        push_varint(&mut out, self.total_branches);
-        push_varint(&mut out, self.total_instructions);
-        push_varint(&mut out, self.total_events);
-        push_varint(&mut out, self.slice_branches);
-        push_varint(&mut out, self.cluster_seed);
-        push_varint(&mut out, self.phases.len() as u64);
+        let mut w = STBP.writer();
+        w.str(&self.workload);
+        w.u64(self.seed);
+        w.u64(self.total_branches);
+        w.u64(self.total_instructions);
+        w.u64(self.total_events);
+        w.u64(self.slice_branches);
+        w.u64(self.cluster_seed);
+        w.usize(self.phases.len());
         for p in &self.phases {
-            push_varint(&mut out, p.rep_slice);
-            push_varint(&mut out, p.weight_branches);
-            push_varint(&mut out, p.weight_instructions);
-            push_varint(&mut out, p.weight_slices);
-            push_varint(&mut out, p.start_branch);
-            push_varint(&mut out, p.start_event);
-            push_varint(&mut out, p.rep_branches);
-            push_varint(&mut out, p.rep_instructions);
-            push_varint(&mut out, p.checkpoint.len() as u64);
-            out.extend_from_slice(&p.checkpoint);
+            w.u64(p.rep_slice);
+            w.u64(p.weight_branches);
+            w.u64(p.weight_instructions);
+            w.u64(p.weight_slices);
+            w.u64(p.start_branch);
+            w.u64(p.start_event);
+            w.u64(p.rep_branches);
+            w.u64(p.rep_instructions);
+            w.bytes(&p.checkpoint);
         }
-        let sum = fnv1a64(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
+        w.seal()
     }
 
     /// Decodes a phase file, validating magic, version, flags, framing
@@ -234,105 +183,36 @@ impl PhaseFile {
     /// A positioned [`PhaseError`] on any malformed input; decoding
     /// never panics.
     pub fn from_bytes(data: &[u8]) -> Result<PhaseFile, PhaseError> {
-        const HEAD: usize = 8;
-        const TAIL: usize = 8;
-        if data.len() < HEAD + TAIL {
-            return Err(PhaseError::new(
-                data.len(),
-                format!(
-                    "file too short for a phase file: {} bytes (need at least {})",
-                    data.len(),
-                    HEAD + TAIL
-                ),
-            ));
-        }
-        let magic = data.get(0..4).unwrap_or(&[]);
-        if magic != STBP_MAGIC {
-            return Err(PhaseError::new(
-                0,
-                format!("bad magic {magic:02x?}, expected \"STBP\""),
-            ));
-        }
-        let word = |at: usize| -> u16 {
-            let lo = data.get(at).copied().unwrap_or(0);
-            let hi = data.get(at + 1).copied().unwrap_or(0);
-            u16::from_le_bytes([lo, hi])
-        };
-        let version = word(4);
-        if version != STBP_VERSION {
-            return Err(PhaseError::new(
-                4,
-                format!(
-                    "unsupported phase-file version {version} (this build reads {STBP_VERSION})"
-                ),
-            ));
-        }
-        let flags = word(6);
-        if flags != 0 {
-            return Err(PhaseError::new(
-                6,
-                format!("unsupported flags {flags:#06x} (no flags are defined in version 1)"),
-            ));
-        }
-        let body_end = data.len() - TAIL;
-        let stored = {
-            let mut raw = [0u8; 8];
-            for (i, slot) in raw.iter_mut().enumerate() {
-                *slot = data.get(body_end + i).copied().unwrap_or(0);
-            }
-            u64::from_le_bytes(raw)
-        };
-        let actual = fnv1a64(data.get(..body_end).unwrap_or(&[]));
-        if stored != actual {
-            return Err(PhaseError::new(
-                body_end,
-                format!("checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"),
-            ));
-        }
-        let mut cur = Cur {
-            buf: data.get(..body_end).unwrap_or(&[]),
-            pos: HEAD,
-        };
-        let workload = cur.str("workload")?.to_string();
-        let seed = cur.varint("seed")?;
-        let total_branches = cur.varint("total branches")?;
-        let total_instructions = cur.varint("total instructions")?;
-        let total_events = cur.varint("total events")?;
-        let slice_branches = cur.varint("slice size")?;
-        let cluster_seed = cur.varint("cluster seed")?;
-        let count = cur.varint("phase count")?;
+        PhaseFile::decode(data).map_err(|e| PhaseError::new(e.offset, e.msg))
+    }
+
+    fn decode(data: &[u8]) -> Result<PhaseFile, SnapError> {
+        let mut r = STBP.open(data)?;
+        let workload = r.str()?;
+        let seed = r.u64()?;
+        let total_branches = r.u64()?;
+        let total_instructions = r.u64()?;
+        let total_events = r.u64()?;
+        let slice_branches = r.u64()?;
+        let cluster_seed = r.u64()?;
+        let count = r.u64()?;
         // Growth by push keeps a forged count from allocating anything
         // before the (bounded) body runs out.
         let mut phases = Vec::new();
-        for i in 0..count {
-            let what = |field: &str| format!("phase {i} {field}");
-            let rep_slice = cur.varint(&what("representative slice"))?;
-            let weight_branches = cur.varint(&what("weight (branches)"))?;
-            let weight_instructions = cur.varint(&what("weight (instructions)"))?;
-            let weight_slices = cur.varint(&what("weight (slices)"))?;
-            let start_branch = cur.varint(&what("start branch"))?;
-            let start_event = cur.varint(&what("start event"))?;
-            let rep_branches = cur.varint(&what("representative branches"))?;
-            let rep_instructions = cur.varint(&what("representative instructions"))?;
-            let checkpoint = cur.bytes(&what("embedded checkpoint"))?.to_vec();
+        for _ in 0..count {
             phases.push(PhaseEntry {
-                rep_slice,
-                weight_branches,
-                weight_instructions,
-                weight_slices,
-                start_branch,
-                start_event,
-                rep_branches,
-                rep_instructions,
-                checkpoint,
+                rep_slice: r.u64()?,
+                weight_branches: r.u64()?,
+                weight_instructions: r.u64()?,
+                weight_slices: r.u64()?,
+                start_branch: r.u64()?,
+                start_event: r.u64()?,
+                rep_branches: r.u64()?,
+                rep_instructions: r.u64()?,
+                checkpoint: r.bytes()?.to_vec(),
             });
         }
-        if cur.pos != body_end {
-            return Err(PhaseError::new(
-                cur.pos,
-                format!("{} trailing bytes after the last phase", body_end - cur.pos),
-            ));
-        }
+        r.expect_end()?;
         Ok(PhaseFile {
             workload,
             seed,
@@ -345,18 +225,16 @@ impl PhaseFile {
         })
     }
 
-    /// Writes the phase file to `path` atomically (temp file in the same
-    /// directory, then rename), so a crash mid-write never leaves a
+    /// Writes the phase file to `path` atomically and durably (see
+    /// [`write_atomic`]), so a crash mid-write never leaves a
     /// half-written `.stbp` behind.
     ///
     /// # Errors
     ///
     /// I/O failures, reported with offset 0.
     pub fn save(&self, path: &Path) -> Result<(), PhaseError> {
-        let tmp = path.with_extension("stbp.tmp");
-        let io = |e: std::io::Error| PhaseError::new(0, format!("{}: {e}", path.display()));
-        std::fs::write(&tmp, self.to_bytes()).map_err(io)?;
-        std::fs::rename(&tmp, path).map_err(io)
+        write_atomic(path, &self.to_bytes())
+            .map_err(|e| PhaseError::new(0, format!("{}: {e}", path.display())))
     }
 
     /// Reads and decodes a phase file from `path`.
@@ -386,6 +264,7 @@ impl PhaseFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stbpu_bpu::snap::fnv1a64;
 
     fn sample() -> PhaseFile {
         PhaseFile {

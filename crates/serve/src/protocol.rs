@@ -1,8 +1,8 @@
 //! The serve wire protocol: length-prefixed binary frames over TCP.
 //!
-//! Built from the same primitives as the `.stbt` format (LEB128 varints,
-//! see [`stbpu_trace::binfmt`]), so a client that can write traces
-//! already has every encoder it needs. One frame is:
+//! Built from the workspace codec core ([`stbpu_bpu::snap`]: LEB128
+//! varints, length-prefixed strings, raw `f64` bits), the same primitives
+//! every other binary format uses. One frame is:
 //!
 //! ```text
 //! varint  length      total size of tag + payload (1 ..= MAX_FRAME)
@@ -31,12 +31,12 @@
     clippy::unimplemented
 )]
 
+use stbpu_bpu::snap::{decode_varint, push_varint, SnapError, StateReader, StateWriter};
 use stbpu_sim::{IntervalWindow, SimReport};
-use stbpu_trace::binfmt::{decode_varint, push_varint};
 use std::fmt;
 
 /// Protocol version carried in every [`Hello`]. Bump on any frame-layout
-/// change, mirroring the `.stbt` version policy (see CONTRIBUTING.md).
+/// change, under the binary-format version policy in CONTRIBUTING.md.
 pub const PROTOCOL_VERSION: u64 = 1;
 
 /// Upper bound on one frame's declared length (tag + payload). Anything
@@ -191,82 +191,33 @@ impl FrameReader {
 }
 
 /// Appends a frame (varint length + body) to `out`.
-fn push_frame(out: &mut Vec<u8>, body: &[u8]) {
+fn push_frame(out: &mut Vec<u8>, body: StateWriter) {
+    let body = body.into_bytes();
     debug_assert!(!body.is_empty() && body.len() <= MAX_FRAME);
     push_varint(out, body.len() as u64);
-    out.extend_from_slice(body);
+    out.extend_from_slice(&body);
 }
 
-/// Appends a length-prefixed string.
-fn push_string(out: &mut Vec<u8>, s: &str) {
-    push_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
+/// Reads a length-prefixed string no longer than [`MAX_STRING`].
+fn string(r: &mut StateReader<'_>) -> Result<String, SnapError> {
+    let at = r.offset();
+    let s = r.str()?;
+    if s.len() > MAX_STRING {
+        return Err(SnapError::new(
+            at,
+            format!(
+                "string length {} exceeds the {MAX_STRING}-byte cap",
+                s.len()
+            ),
+        ));
+    }
+    Ok(s)
 }
 
-/// Decode cursor over one frame body — every read is bounds-checked, so
-/// arbitrary payload bytes produce an `Err(String)`, never a panic.
-struct Cur<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Cur { data, pos: 0 }
-    }
-
-    fn varint(&mut self, what: &str) -> Result<u64, String> {
-        match decode_varint(self.rest()) {
-            Ok(Some((v, n))) => {
-                self.pos += n;
-                Ok(v)
-            }
-            Ok(None) => Err(format!("truncated {what} varint")),
-            Err(e) => Err(format!("{what}: {e}")),
-        }
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, String> {
-        let len = self.varint(what)? as usize;
-        if len > MAX_STRING {
-            return Err(format!(
-                "{what} length {len} exceeds the {MAX_STRING}-byte cap"
-            ));
-        }
-        let end = self.pos + len;
-        let Some(bytes) = self.data.get(self.pos..end) else {
-            return Err(format!("truncated {what} (declares {len} bytes)"));
-        };
-        let s = std::str::from_utf8(bytes)
-            .map_err(|_| format!("{what} is not UTF-8"))?
-            .to_string();
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, String> {
-        let Some(bytes) = self.rest().first_chunk::<8>() else {
-            return Err(format!("truncated {what} (needs 8 bytes)"));
-        };
-        let bits = u64::from_le_bytes(*bytes);
-        self.pos += 8;
-        Ok(f64::from_bits(bits))
-    }
-
-    /// The unread bytes (empty once `pos` reaches the end).
-    fn rest(&self) -> &'a [u8] {
-        self.data.get(self.pos..).unwrap_or_default()
-    }
-
-    fn done(self, tag: &str) -> Result<(), String> {
-        if self.pos != self.data.len() {
-            return Err(format!(
-                "{} trailing bytes after {tag} payload",
-                self.data.len() - self.pos
-            ));
-        }
-        Ok(())
-    }
+/// The decode error text a peer reports: the failing payload offset and
+/// why.
+fn wire_text(e: SnapError) -> String {
+    format!("payload byte {}: {}", e.offset, e.msg)
 }
 
 /// Why the server rejected a frame or tore a session down, carried in
@@ -422,35 +373,35 @@ pub enum ClientMsg {
 impl ClientMsg {
     /// Appends this message as a complete frame (length prefix included).
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let mut body = Vec::new();
+        let mut w = StateWriter::new();
         match self {
             ClientMsg::Hello(h) => {
-                body.push(T_HELLO);
-                push_varint(&mut body, PROTOCOL_VERSION);
-                push_varint(&mut body, h.session);
-                push_varint(&mut body, h.seed);
-                push_string(&mut body, &h.model);
-                push_string(&mut body, &h.protection);
-                push_string(&mut body, &h.workload);
-                push_varint(&mut body, h.warmup_branches);
-                push_varint(&mut body, h.interval);
-                push_varint(&mut body, h.threads);
+                w.u8(T_HELLO);
+                w.u64(PROTOCOL_VERSION);
+                w.u64(h.session);
+                w.u64(h.seed);
+                w.str(&h.model);
+                w.str(&h.protection);
+                w.str(&h.workload);
+                w.u64(h.warmup_branches);
+                w.u64(h.interval);
+                w.u64(h.threads);
             }
             ClientMsg::TraceChunk { session, bytes } => {
-                body.push(T_CHUNK);
-                push_varint(&mut body, *session);
-                body.extend_from_slice(bytes);
+                w.u8(T_CHUNK);
+                w.u64(*session);
+                w.raw(bytes);
             }
             ClientMsg::Flush { session } => {
-                body.push(T_FLUSH);
-                push_varint(&mut body, *session);
+                w.u8(T_FLUSH);
+                w.u64(*session);
             }
             ClientMsg::Close { session } => {
-                body.push(T_CLOSE);
-                push_varint(&mut body, *session);
+                w.u8(T_CLOSE);
+                w.u64(*session);
             }
         }
-        push_frame(out, &body);
+        push_frame(out, w);
     }
 
     /// Decodes a frame body (as returned by [`FrameReader::next_frame`]).
@@ -462,55 +413,48 @@ impl ClientMsg {
     /// server can answer version mismatches precisely.
     pub fn decode(body: &[u8]) -> Result<ClientMsg, String> {
         let (&tag, payload) = body.split_first().ok_or("empty frame body")?;
-        let mut c = Cur::new(payload);
-        match tag {
+        Self::decode_payload(tag, &mut StateReader::new(payload)).map_err(wire_text)
+    }
+
+    fn decode_payload(tag: u8, c: &mut StateReader<'_>) -> Result<ClientMsg, SnapError> {
+        let msg = match tag {
             T_HELLO => {
-                let version = c.varint("protocol version")?;
+                let version = c.u64()?;
                 if version != PROTOCOL_VERSION {
-                    return Err(format!(
-                        "protocol version {version} not supported (this build speaks \
-                         version {PROTOCOL_VERSION})"
+                    return Err(SnapError::new(
+                        0,
+                        format!(
+                            "protocol version {version} not supported (this build speaks \
+                             version {PROTOCOL_VERSION})"
+                        ),
                     ));
                 }
-                let session = c.varint("session id")?;
-                let seed = c.varint("seed")?;
-                let model = c.string("model spec")?;
-                let protection = c.string("protection name")?;
-                let workload = c.string("workload label")?;
-                let warmup_branches = c.varint("warmup branch count")?;
-                let interval = c.varint("interval")?;
-                let threads = c.varint("thread count")?;
-                c.done("Hello")?;
-                Ok(ClientMsg::Hello(Hello {
-                    session,
-                    seed,
-                    model,
-                    protection,
-                    workload,
-                    warmup_branches,
-                    interval,
-                    threads,
-                }))
-            }
-            T_CHUNK => {
-                let session = c.varint("session id")?;
-                Ok(ClientMsg::TraceChunk {
-                    session,
-                    bytes: c.rest().to_vec(),
+                ClientMsg::Hello(Hello {
+                    session: c.u64()?,
+                    seed: c.u64()?,
+                    model: string(c)?,
+                    protection: string(c)?,
+                    workload: string(c)?,
+                    warmup_branches: c.u64()?,
+                    interval: c.u64()?,
+                    threads: c.u64()?,
                 })
             }
-            T_FLUSH => {
-                let session = c.varint("session id")?;
-                c.done("Flush")?;
-                Ok(ClientMsg::Flush { session })
+            T_CHUNK => ClientMsg::TraceChunk {
+                session: c.u64()?,
+                bytes: c.take_rest().to_vec(),
+            },
+            T_FLUSH => ClientMsg::Flush { session: c.u64()? },
+            T_CLOSE => ClientMsg::Close { session: c.u64()? },
+            other => {
+                return Err(SnapError::new(
+                    0,
+                    format!("unknown client frame tag {other:#04x}"),
+                ))
             }
-            T_CLOSE => {
-                let session = c.varint("session id")?;
-                c.done("Close")?;
-                Ok(ClientMsg::Close { session })
-            }
-            other => Err(format!("unknown client frame tag {other:#04x}")),
-        }
+        };
+        c.expect_end()?;
+        Ok(msg)
     }
 }
 
@@ -567,58 +511,58 @@ pub enum ServerMsg {
 impl ServerMsg {
     /// Appends this message as a complete frame (length prefix included).
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let mut body = Vec::new();
+        let mut w = StateWriter::new();
         match self {
             ServerMsg::HelloAck { session } => {
-                body.push(T_HELLO_ACK);
-                push_varint(&mut body, *session);
+                w.u8(T_HELLO_ACK);
+                w.u64(*session);
             }
             ServerMsg::Interval { session, window } => {
-                body.push(T_INTERVAL);
-                push_varint(&mut body, *session);
-                push_varint(&mut body, window.start_branch);
-                push_varint(&mut body, window.branches);
-                push_varint(&mut body, window.effective_correct);
-                push_varint(&mut body, window.mispredictions);
-                push_varint(&mut body, window.flushes);
-                push_varint(&mut body, window.rerandomizations);
+                w.u8(T_INTERVAL);
+                w.u64(*session);
+                w.u64(window.start_branch);
+                w.u64(window.branches);
+                w.u64(window.effective_correct);
+                w.u64(window.mispredictions);
+                w.u64(window.flushes);
+                w.u64(window.rerandomizations);
             }
             ServerMsg::Report { session, report } => {
-                body.push(T_REPORT);
-                push_varint(&mut body, *session);
-                push_string(&mut body, &report.model);
-                push_string(&mut body, &report.protection);
-                push_string(&mut body, &report.workload);
-                body.extend_from_slice(&report.oae.to_bits().to_le_bytes());
-                body.extend_from_slice(&report.direction_rate.to_bits().to_le_bytes());
-                body.extend_from_slice(&report.target_rate.to_bits().to_le_bytes());
-                push_varint(&mut body, report.branches);
-                push_varint(&mut body, report.mispredictions);
-                push_varint(&mut body, report.evictions);
-                push_varint(&mut body, report.flushes);
-                push_varint(&mut body, report.rerandomizations);
+                w.u8(T_REPORT);
+                w.u64(*session);
+                w.str(&report.model);
+                w.str(&report.protection);
+                w.str(&report.workload);
+                w.f64(report.oae);
+                w.f64(report.direction_rate);
+                w.f64(report.target_rate);
+                w.u64(report.branches);
+                w.u64(report.mispredictions);
+                w.u64(report.evictions);
+                w.u64(report.flushes);
+                w.u64(report.rerandomizations);
             }
             ServerMsg::Error {
                 session,
                 code,
                 message,
             } => {
-                body.push(T_ERROR);
-                push_varint(&mut body, *session);
-                push_varint(&mut body, *code as u64);
-                push_string(&mut body, message);
+                w.u8(T_ERROR);
+                w.u64(*session);
+                w.u64(*code as u64);
+                w.str(message);
             }
             ServerMsg::Backpressure { session, buffered } => {
-                body.push(T_BACKPRESSURE);
-                push_varint(&mut body, *session);
-                push_varint(&mut body, *buffered);
+                w.u8(T_BACKPRESSURE);
+                w.u64(*session);
+                w.u64(*buffered);
             }
             ServerMsg::Resume { session } => {
-                body.push(T_RESUME);
-                push_varint(&mut body, *session);
+                w.u8(T_RESUME);
+                w.u64(*session);
             }
         }
-        push_frame(out, &body);
+        push_frame(out, w);
     }
 
     /// Decodes a frame body (as returned by [`FrameReader::next_frame`]).
@@ -628,70 +572,65 @@ impl ServerMsg {
     /// A description of the malformation; arbitrary bytes never panic.
     pub fn decode(body: &[u8]) -> Result<ServerMsg, String> {
         let (&tag, payload) = body.split_first().ok_or("empty frame body")?;
-        let mut c = Cur::new(payload);
-        match tag {
-            T_HELLO_ACK => {
-                let session = c.varint("session id")?;
-                c.done("HelloAck")?;
-                Ok(ServerMsg::HelloAck { session })
-            }
-            T_INTERVAL => {
-                let session = c.varint("session id")?;
-                let window = IntervalWindow {
-                    start_branch: c.varint("start_branch")?,
-                    branches: c.varint("branches")?,
-                    effective_correct: c.varint("effective_correct")?,
-                    mispredictions: c.varint("mispredictions")?,
-                    flushes: c.varint("flushes")?,
-                    rerandomizations: c.varint("rerandomizations")?,
-                };
-                c.done("IntervalRecord")?;
-                Ok(ServerMsg::Interval { session, window })
-            }
-            T_REPORT => {
-                let session = c.varint("session id")?;
-                let report = WireReport {
-                    model: c.string("model name")?,
-                    protection: c.string("protection label")?,
-                    workload: c.string("workload label")?,
-                    oae: c.f64("oae")?,
-                    direction_rate: c.f64("direction_rate")?,
-                    target_rate: c.f64("target_rate")?,
-                    branches: c.varint("branches")?,
-                    mispredictions: c.varint("mispredictions")?,
-                    evictions: c.varint("evictions")?,
-                    flushes: c.varint("flushes")?,
-                    rerandomizations: c.varint("rerandomizations")?,
-                };
-                c.done("FinalReport")?;
-                Ok(ServerMsg::Report { session, report })
-            }
+        Self::decode_payload(tag, &mut StateReader::new(payload)).map_err(wire_text)
+    }
+
+    fn decode_payload(tag: u8, c: &mut StateReader<'_>) -> Result<ServerMsg, SnapError> {
+        let msg = match tag {
+            T_HELLO_ACK => ServerMsg::HelloAck { session: c.u64()? },
+            T_INTERVAL => ServerMsg::Interval {
+                session: c.u64()?,
+                window: IntervalWindow {
+                    start_branch: c.u64()?,
+                    branches: c.u64()?,
+                    effective_correct: c.u64()?,
+                    mispredictions: c.u64()?,
+                    flushes: c.u64()?,
+                    rerandomizations: c.u64()?,
+                },
+            },
+            T_REPORT => ServerMsg::Report {
+                session: c.u64()?,
+                report: WireReport {
+                    model: string(c)?,
+                    protection: string(c)?,
+                    workload: string(c)?,
+                    oae: c.f64()?,
+                    direction_rate: c.f64()?,
+                    target_rate: c.f64()?,
+                    branches: c.u64()?,
+                    mispredictions: c.u64()?,
+                    evictions: c.u64()?,
+                    flushes: c.u64()?,
+                    rerandomizations: c.u64()?,
+                },
+            },
             T_ERROR => {
-                let session = c.varint("session id")?;
-                let raw = c.varint("error code")?;
-                let code =
-                    ErrorCode::from_u64(raw).ok_or_else(|| format!("unknown error code {raw}"))?;
-                let message = c.string("error message")?;
-                c.done("Error")?;
-                Ok(ServerMsg::Error {
+                let session = c.u64()?;
+                let at = c.offset();
+                let raw = c.u64()?;
+                let code = ErrorCode::from_u64(raw)
+                    .ok_or_else(|| SnapError::new(at, format!("unknown error code {raw}")))?;
+                ServerMsg::Error {
                     session,
                     code,
-                    message,
-                })
+                    message: string(c)?,
+                }
             }
-            T_BACKPRESSURE => {
-                let session = c.varint("session id")?;
-                let buffered = c.varint("buffered byte count")?;
-                c.done("Backpressure")?;
-                Ok(ServerMsg::Backpressure { session, buffered })
+            T_BACKPRESSURE => ServerMsg::Backpressure {
+                session: c.u64()?,
+                buffered: c.u64()?,
+            },
+            T_RESUME => ServerMsg::Resume { session: c.u64()? },
+            other => {
+                return Err(SnapError::new(
+                    0,
+                    format!("unknown server frame tag {other:#04x}"),
+                ))
             }
-            T_RESUME => {
-                let session = c.varint("session id")?;
-                c.done("Resume")?;
-                Ok(ServerMsg::Resume { session })
-            }
-            other => Err(format!("unknown server frame tag {other:#04x}")),
-        }
+        };
+        c.expect_end()?;
+        Ok(msg)
     }
 }
 
@@ -780,6 +719,55 @@ mod tests {
             buffered: 9_000_000,
         });
         roundtrip_server(ServerMsg::Resume { session: 3 });
+    }
+
+    /// Lower-case hex of one encoded frame.
+    fn wire_hex(encode: impl FnOnce(&mut Vec<u8>)) -> String {
+        let mut wire = Vec::new();
+        encode(&mut wire);
+        wire.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The exact bytes of two frames under `PROTOCOL_VERSION` 1, so an
+    /// encoder and decoder that drift together cannot pass as a round
+    /// trip.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let hello = ClientMsg::Hello(Hello {
+            session: 7,
+            seed: 42,
+            model: "st_skl@r=0.05".to_string(),
+            protection: "auto".to_string(),
+            workload: "541.leela".to_string(),
+            warmup_branches: 1_000,
+            interval: 300,
+            threads: 2,
+        });
+        assert_eq!(
+            wire_hex(|w| hello.encode(w)),
+            "260101072a0d73745f736b6c40723d302e3035046175746f093534312e6c65656c61e807ac0202"
+        );
+        let report = ServerMsg::Report {
+            session: 7,
+            report: WireReport {
+                model: "SKLCond+ST".to_string(),
+                protection: "stbpu".to_string(),
+                workload: "serve".to_string(),
+                oae: 0.5,
+                direction_rate: f64::from_bits(0x3FEF_0000_0000_0001),
+                target_rate: -0.0,
+                branches: 1_000,
+                mispredictions: 300,
+                evictions: 2,
+                flushes: 0,
+                rerandomizations: 129,
+            },
+        };
+        assert_eq!(
+            wire_hex(|w| report.encode(w)),
+            "3983070a534b4c436f6e642b5354057374627075057365727665000000000000e03f\
+             010000000000ef3f0000000000000080e807ac0202008101"
+        );
     }
 
     #[test]

@@ -81,7 +81,7 @@ proptest! {
     fn hostile_lengths_rejected_before_buffering(extra in any::<u64>()) {
         let hostile = (MAX_FRAME as u64).saturating_add(extra.max(1));
         let mut wire = Vec::new();
-        stbpu_trace::binfmt::push_varint(&mut wire, hostile);
+        stbpu_bpu::snap::push_varint(&mut wire, hostile);
         let mut r = FrameReader::new();
         r.extend(&wire);
         let e = r.next_frame().expect_err("over-cap length must error");

@@ -168,7 +168,7 @@ fn malicious_clients_cannot_kill_unrelated_sessions() {
     {
         let mut s = TcpStream::connect(addr).unwrap();
         let mut wire = Vec::new();
-        stbpu_trace::binfmt::push_varint(&mut wire, u64::MAX / 2);
+        stbpu_bpu::snap::push_varint(&mut wire, u64::MAX / 2);
         s.write_all(&wire).unwrap();
         let mut frames = FrameReader::new();
         match read_frame(&mut s, &mut frames) {

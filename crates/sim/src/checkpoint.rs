@@ -4,8 +4,9 @@
 //!
 //! # File format (version 1)
 //!
-//! All multi-byte scalars are little-endian; `varint` is the same LEB128
-//! encoding the `.stbt` trace format uses ([`stbpu_trace::binfmt`]).
+//! All multi-byte scalars are little-endian; `varint` is the LEB128
+//! encoding of the workspace codec core ([`stbpu_bpu::snap`]), which also
+//! owns the header check and the checksum envelope.
 //!
 //! | field             | encoding                                  |
 //! |-------------------|-------------------------------------------|
@@ -45,14 +46,20 @@
 
 use crate::session::OwnedSession;
 use crate::{Protection, SimError};
+use stbpu_bpu::snap::{write_atomic, Format};
 use stbpu_bpu::{Bpu, SnapError, StateReader, StateWriter};
-use stbpu_trace::binfmt::{decode_varint, fnv1a64, push_varint};
 use std::path::Path;
 
 /// Magic bytes opening every checkpoint file.
 pub const STCK_MAGIC: [u8; 4] = *b"STCK";
 /// Current format version.
 pub const STCK_VERSION: u16 = 1;
+
+const STCK: Format = Format {
+    magic: STCK_MAGIC,
+    version: STCK_VERSION,
+    known_flags: 0,
+};
 
 /// A decode/validation failure with the byte offset where it was
 /// detected (I/O failures report offset 0).
@@ -137,65 +144,6 @@ pub struct Checkpoint {
     pub model_state: Vec<u8>,
 }
 
-/// Bounds-checked cursor over an encoded checkpoint.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn err(&self, msg: impl Into<String>) -> CheckpointError {
-        CheckpointError::new(self.pos, msg)
-    }
-
-    fn rest(&self) -> &'a [u8] {
-        self.buf.get(self.pos..).unwrap_or(&[])
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, CheckpointError> {
-        let b = *self
-            .rest()
-            .first()
-            .ok_or_else(|| self.err(format!("truncated reading {what}")))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn varint(&mut self, what: &str) -> Result<u64, CheckpointError> {
-        match decode_varint(self.rest()) {
-            Ok(Some((v, n))) => {
-                self.pos += n;
-                Ok(v)
-            }
-            Ok(None) => Err(self.err(format!("truncated varint reading {what}"))),
-            Err(_) => Err(self.err(format!("varint overflow reading {what}"))),
-        }
-    }
-
-    fn bytes(&mut self, what: &str) -> Result<&'a [u8], CheckpointError> {
-        let len = self.varint(what)?;
-        let len = usize::try_from(len)
-            .map_err(|_| self.err(format!("{what} length {len} exceeds address space")))?;
-        let end = self
-            .pos
-            .checked_add(len)
-            .ok_or_else(|| self.err(format!("{what} length overflows")))?;
-        let slice = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| self.err(format!("truncated {what}: {len} bytes declared")))?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn str(&mut self, what: &str) -> Result<&'a str, CheckpointError> {
-        let start = self.pos;
-        let raw = self.bytes(what)?;
-        std::str::from_utf8(raw)
-            .map_err(|_| CheckpointError::new(start, format!("{what} is not valid UTF-8")))
-    }
-}
-
 impl Checkpoint {
     /// Snapshots a live session: the session bookkeeping, the model's
     /// complete mutable state, and the resume coordinates.
@@ -246,25 +194,16 @@ impl Checkpoint {
 
     /// Encodes the checkpoint into the `.stck` byte format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&STCK_MAGIC);
-        out.extend_from_slice(&STCK_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes()); // flags
-        push_varint(&mut out, self.model_spec.len() as u64);
-        out.extend_from_slice(self.model_spec.as_bytes());
-        push_varint(&mut out, self.workload.len() as u64);
-        out.extend_from_slice(self.workload.as_bytes());
-        out.push(self.protection.code());
-        push_varint(&mut out, self.seed);
-        push_varint(&mut out, self.events_consumed);
-        push_varint(&mut out, self.branches_seen);
-        push_varint(&mut out, self.session_state.len() as u64);
-        out.extend_from_slice(&self.session_state);
-        push_varint(&mut out, self.model_state.len() as u64);
-        out.extend_from_slice(&self.model_state);
-        let sum = fnv1a64(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
+        let mut w = STCK.writer();
+        w.str(&self.model_spec);
+        w.str(&self.workload);
+        w.u8(self.protection.code());
+        w.u64(self.seed);
+        w.u64(self.events_consumed);
+        w.u64(self.branches_seen);
+        w.bytes(&self.session_state);
+        w.bytes(&self.model_state);
+        w.seal()
     }
 
     /// Decodes a checkpoint, validating magic, version, flags, framing
@@ -275,107 +214,41 @@ impl Checkpoint {
     /// A positioned [`CheckpointError`] on any malformed input; decoding
     /// never panics.
     pub fn from_bytes(data: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        const HEAD: usize = 8;
-        const TAIL: usize = 8;
-        if data.len() < HEAD + TAIL {
-            return Err(CheckpointError::new(
-                data.len(),
-                format!(
-                    "file too short for a checkpoint: {} bytes (need at least {})",
-                    data.len(),
-                    HEAD + TAIL
-                ),
-            ));
-        }
-        let magic = data.get(0..4).unwrap_or(&[]);
-        if magic != STCK_MAGIC {
-            return Err(CheckpointError::new(
-                0,
-                format!("bad magic {magic:02x?}, expected \"STCK\""),
-            ));
-        }
-        let word = |at: usize| -> u16 {
-            let lo = data.get(at).copied().unwrap_or(0);
-            let hi = data.get(at + 1).copied().unwrap_or(0);
-            u16::from_le_bytes([lo, hi])
-        };
-        let version = word(4);
-        if version != STCK_VERSION {
-            return Err(CheckpointError::new(
-                4,
-                format!(
-                    "unsupported checkpoint version {version} (this build reads {STCK_VERSION})"
-                ),
-            ));
-        }
-        let flags = word(6);
-        if flags != 0 {
-            return Err(CheckpointError::new(
-                6,
-                format!("unsupported flags {flags:#06x} (no flags are defined in version 1)"),
-            ));
-        }
-        let body_end = data.len() - TAIL;
-        let stored = {
-            let mut raw = [0u8; 8];
-            for (i, slot) in raw.iter_mut().enumerate() {
-                *slot = data.get(body_end + i).copied().unwrap_or(0);
-            }
-            u64::from_le_bytes(raw)
-        };
-        let actual = fnv1a64(data.get(..body_end).unwrap_or(&[]));
-        if stored != actual {
-            return Err(CheckpointError::new(
-                body_end,
-                format!("checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"),
-            ));
-        }
-        let mut cur = Cur {
-            buf: data.get(..body_end).unwrap_or(&[]),
-            pos: HEAD,
-        };
-        let model_spec = cur.str("model spec")?.to_string();
-        let workload = cur.str("workload")?.to_string();
-        let code_at = cur.pos;
-        let code = cur.u8("protection code")?;
-        let protection = Protection::from_code(code).ok_or_else(|| {
-            CheckpointError::new(code_at, format!("unknown protection code {code}"))
-        })?;
-        let seed = cur.varint("seed")?;
-        let events_consumed = cur.varint("events consumed")?;
-        let branches_seen = cur.varint("branches seen")?;
-        let session_state = cur.bytes("session state")?.to_vec();
-        let model_state = cur.bytes("model state")?.to_vec();
-        if cur.pos != body_end {
-            return Err(CheckpointError::new(
-                cur.pos,
-                format!("{} trailing bytes after model state", body_end - cur.pos),
-            ));
-        }
-        Ok(Checkpoint {
+        Checkpoint::decode(data).map_err(|e| CheckpointError::new(e.offset, e.msg))
+    }
+
+    fn decode(data: &[u8]) -> Result<Checkpoint, SnapError> {
+        let mut r = STCK.open(data)?;
+        let model_spec = r.str()?;
+        let workload = r.str()?;
+        let code_at = r.offset();
+        let code = r.u8()?;
+        let protection = Protection::from_code(code)
+            .ok_or_else(|| SnapError::new(code_at, format!("unknown protection code {code}")))?;
+        let checkpoint = Checkpoint {
             model_spec,
             workload,
             protection,
-            seed,
-            events_consumed,
-            branches_seen,
-            session_state,
-            model_state,
-        })
+            seed: r.u64()?,
+            events_consumed: r.u64()?,
+            branches_seen: r.u64()?,
+            session_state: r.bytes()?.to_vec(),
+            model_state: r.bytes()?.to_vec(),
+        };
+        r.expect_end()?;
+        Ok(checkpoint)
     }
 
-    /// Writes the checkpoint to `path` atomically (temp file in the same
-    /// directory, then rename), so a crash mid-write never leaves a
+    /// Writes the checkpoint to `path` atomically and durably (see
+    /// [`write_atomic`]), so a crash mid-write never leaves a
     /// half-written `.stck` behind.
     ///
     /// # Errors
     ///
     /// I/O failures, reported with offset 0.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let tmp = path.with_extension("stck.tmp");
-        let io = |e: std::io::Error| CheckpointError::new(0, format!("{}: {e}", path.display()));
-        std::fs::write(&tmp, self.to_bytes()).map_err(io)?;
-        std::fs::rename(&tmp, path).map_err(io)
+        write_atomic(path, &self.to_bytes())
+            .map_err(|e| CheckpointError::new(0, format!("{}: {e}", path.display())))
     }
 
     /// Reads and decodes a checkpoint from `path`.
@@ -401,6 +274,7 @@ impl From<CheckpointError> for SimError {
 mod tests {
     use super::*;
     use crate::{SessionOptions, Warmup};
+    use stbpu_bpu::snap::fnv1a64;
     use stbpu_predictors::skl_baseline;
     use stbpu_trace::{TraceGenerator, WorkloadProfile};
 

@@ -64,6 +64,7 @@
 
 use crate::event::{Trace, TraceEvent};
 use crate::source::{EventSource, SourceError};
+use stbpu_bpu::snap::{push_varint, unzigzag, zigzag, Format};
 use stbpu_bpu::{BranchKind, BranchRecord, EntityId, VirtAddr};
 use std::fmt;
 use std::io::{Read, Write};
@@ -76,8 +77,12 @@ pub const VERSION: u16 = 1;
 
 /// Header flag: the declared branch count field is meaningful.
 const FLAG_BRANCH_COUNT: u16 = 1;
-/// All flag bits a version-1 reader understands.
-const KNOWN_FLAGS: u16 = FLAG_BRANCH_COUNT;
+
+const STBT: Format = Format {
+    magic: MAGIC,
+    version: VERSION,
+    known_flags: FLAG_BRANCH_COUNT,
+};
 
 /// Fixed-size header prefix (everything before the trace name).
 const HEADER_FIXED: usize = 20;
@@ -158,81 +163,6 @@ impl From<BinTraceError> for SourceError {
     }
 }
 
-/// Zigzag-encodes a signed delta so small magnitudes of either sign get
-/// short varints. Public for protocols built on the same primitives
-/// (e.g. the serve wire format).
-pub fn zigzag(v: i64) -> u64 {
-    (v.wrapping_shl(1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-pub fn unzigzag(u: u64) -> i64 {
-    ((u >> 1) as i64) ^ -((u & 1) as i64)
-}
-
-/// Appends an LEB128 varint.
-pub fn push_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push((v as u8) | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
-/// An LEB128 varint whose continuation bytes run past 64 bits of payload
-/// — corrupt input, never produced by [`push_varint`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct VarintOverflow;
-
-impl fmt::Display for VarintOverflow {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("varint overflows 64 bits")
-    }
-}
-
-impl std::error::Error for VarintOverflow {}
-
-/// Bounds-checked LEB128 decode from the front of `data` — the
-/// untrusted-input counterpart of the reader's internal trusted-index
-/// decoder. Returns `Ok(Some((value, encoded_len)))` on a complete
-/// varint, `Ok(None)` when `data` ends mid-varint (stream callers wait
-/// for more bytes), and never reads past the tenth byte.
-///
-/// # Errors
-///
-/// [`VarintOverflow`] when the encoding exceeds 64 bits of payload.
-pub fn decode_varint(data: &[u8]) -> Result<Option<(u64, usize)>, VarintOverflow> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    for (n, &b) in data.iter().enumerate().take(10) {
-        if shift == 63 && b > 1 {
-            return Err(VarintOverflow);
-        }
-        v |= ((b & 0x7f) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Ok(Some((v, n + 1)));
-        }
-        shift += 7;
-    }
-    // Ten buffered bytes always resolve inside the loop (the tenth byte
-    // is terminal or overflows), so falling out means a short buffer.
-    Ok(None)
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64 over `data` — the trailer checksum of the `.stck` checkpoint
-/// and `.stbp` phase-file containers, and the engine's grid/cell keys.
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Branch kind from its stable [`BranchKind::index`] value.
 fn kind_from_index(i: u8) -> Option<BranchKind> {
     BranchKind::ALL.get(i as usize).copied()
@@ -302,14 +232,12 @@ impl<W: Write> BinTraceWriter<W> {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, "thread count above 65535")
         })?;
         let mut h = [0u8; HEADER_FIXED];
-        h[0..4].copy_from_slice(&MAGIC);
-        h[4..6].copy_from_slice(&VERSION.to_le_bytes());
         let flags = if branches.is_some() {
             FLAG_BRANCH_COUNT
         } else {
             0
         };
-        h[6..8].copy_from_slice(&flags.to_le_bytes());
+        h[0..8].copy_from_slice(&STBT.header(flags));
         h[8..10].copy_from_slice(&threads.to_le_bytes());
         h[10..18].copy_from_slice(&branches.unwrap_or(0).to_le_bytes());
         h[18..20].copy_from_slice(&name_len.to_le_bytes());
@@ -540,8 +468,6 @@ pub struct BinTraceReader<R: Read> {
     name: String,
     threads: usize,
     branch_hint: Option<u64>,
-    /// The version parsed from the stream header.
-    version: u16,
     last_pc: [u64; 256],
     /// Records decoded so far (error positions are 1-based from this).
     records: u64,
@@ -567,7 +493,6 @@ impl<R: Read> BinTraceReader<R> {
             name: String::new(),
             threads: 0,
             branch_hint: None,
-            version: 0,
             last_pc: [0; 256],
             records: 0,
         };
@@ -585,22 +510,9 @@ impl<R: Read> BinTraceReader<R> {
             msg,
         };
         let head = &self.buf[..self.filled];
-        if head.len() < 4 || head[0..4] != MAGIC {
-            let found: Vec<u8> = head.iter().take(4).copied().collect();
-            return Err(err(
-                0,
-                format!(
-                    "bad magic: expected {:?} (\"STBT\"), found {:?}{}",
-                    MAGIC,
-                    found,
-                    if head.len() < 4 {
-                        " (file shorter than the magic)"
-                    } else {
-                        ""
-                    }
-                ),
-            ));
-        }
+        let flags = STBT
+            .check_header(head)
+            .map_err(|e| err(e.offset as u64, e.msg))?;
         if head.len() < HEADER_FIXED {
             return Err(err(
                 head.len() as u64,
@@ -608,23 +520,6 @@ impl<R: Read> BinTraceReader<R> {
                     "truncated header: {} bytes, need at least {HEADER_FIXED}",
                     head.len()
                 ),
-            ));
-        }
-        let version = u16::from_le_bytes([head[4], head[5]]);
-        self.version = version;
-        if version != VERSION {
-            return Err(err(
-                4,
-                format!(
-                    "unsupported format version {version} (this build reads version {VERSION})"
-                ),
-            ));
-        }
-        let flags = u16::from_le_bytes([head[6], head[7]]);
-        if flags & !KNOWN_FLAGS != 0 {
-            return Err(err(
-                6,
-                format!("unknown header flags {:#06x}", flags & !KNOWN_FLAGS),
             ));
         }
         self.threads = u16::from_le_bytes([head[8], head[9]]) as usize;
@@ -649,11 +544,11 @@ impl<R: Read> BinTraceReader<R> {
         Ok(())
     }
 
-    /// The on-disk format version parsed from the stream's header (a
-    /// version-1 reader only ever opens version-1 streams today, but the
-    /// accessor reports what the file says, not what the build supports).
+    /// The on-disk format version of the stream: the header check
+    /// rejects every version but [`VERSION`], so an open reader always
+    /// reports it.
     pub fn version(&self) -> u16 {
-        self.version
+        VERSION
     }
 
     /// Slides unread bytes to the buffer front and reads until the buffer
@@ -1297,26 +1192,6 @@ mod tests {
         assert_eq!(e.offset(), 2);
         assert_eq!(e.record(), 2);
         assert_eq!(out.len(), 1, "first record decoded before the damage");
-    }
-
-    #[test]
-    fn decode_varint_matches_push_varint() {
-        for v in [0u64, 1, 0x7f, 0x80, 0x3fff, u32::MAX as u64, u64::MAX] {
-            let mut buf = Vec::new();
-            push_varint(&mut buf, v);
-            assert_eq!(decode_varint(&buf).unwrap(), Some((v, buf.len())));
-            // Every strict prefix is incomplete, never an error.
-            for cut in 0..buf.len() {
-                assert_eq!(decode_varint(&buf[..cut]).unwrap(), None);
-            }
-        }
-        // 64-bit overflow: ten continuation bytes.
-        assert_eq!(decode_varint(&[0x80u8; 10]).unwrap_err(), VarintOverflow);
-        // Tenth byte carrying more than one payload bit.
-        let mut buf = vec![0x80u8; 9];
-        buf.push(0x02);
-        assert_eq!(decode_varint(&buf).unwrap_err(), VarintOverflow);
-        assert_eq!(zigzag(unzigzag(12345)), 12345);
     }
 
     #[test]

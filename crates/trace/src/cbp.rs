@@ -73,6 +73,7 @@
 
 use crate::event::{Trace, TraceEvent};
 use crate::source::{EventSource, SourceError};
+use stbpu_bpu::snap::Format;
 use stbpu_bpu::{BranchKind, BranchRecord, VirtAddr, VA_BITS, VA_MASK};
 use std::fmt;
 use std::io::{Read, Write};
@@ -85,8 +86,12 @@ pub const VERSION: u16 = 1;
 
 /// Header flag: the declared branch count field is meaningful.
 const FLAG_BRANCH_COUNT: u16 = 1;
-/// All flag bits a version-1 reader understands.
-const KNOWN_FLAGS: u16 = FLAG_BRANCH_COUNT;
+
+const CBPT: Format = Format {
+    magic: MAGIC,
+    version: VERSION,
+    known_flags: FLAG_BRANCH_COUNT,
+};
 
 /// Fixed header size.
 const HEADER_LEN: usize = 16;
@@ -276,8 +281,6 @@ pub struct CbpReader<R: Read> {
     eof: bool,
     done: bool,
     branch_hint: Option<u64>,
-    /// The version parsed from the stream header.
-    version: u16,
     /// Records decoded so far (error positions are 1-based from this).
     records: u64,
 }
@@ -300,7 +303,6 @@ impl<R: Read> CbpReader<R> {
             eof: false,
             done: false,
             branch_hint: None,
-            version: 0,
             records: 0,
         };
         tr.refill()?;
@@ -318,54 +320,26 @@ impl<R: Read> CbpReader<R> {
             msg,
         };
         let head = self.buf.get(..self.filled).unwrap_or_default();
-        if head.get(..4) != Some(&MAGIC[..]) {
-            let found: Vec<u8> = head.iter().take(4).copied().collect();
-            return Err(err(
-                0,
-                format!(
-                    "bad magic: expected {:?} (\"CBPT\"), found {:?}{}",
-                    MAGIC,
-                    found,
-                    if head.len() < 4 {
-                        " (file shorter than the magic)"
-                    } else {
-                        ""
-                    }
-                ),
-            ));
-        }
+        let flags = CBPT
+            .check_header(head)
+            .map_err(|e| err(e.offset as u64, e.msg))?;
         let Some(head) = head.first_chunk::<HEADER_LEN>() else {
             return Err(err(
                 head.len() as u64,
                 format!("truncated header: {} bytes, need {HEADER_LEN}", head.len()),
             ));
         };
-        let version = le_u64(&head[4..6]) as u16;
-        self.version = version;
-        if version != VERSION {
-            return Err(err(
-                4,
-                format!(
-                    "unsupported format version {version} (this build reads version {VERSION})"
-                ),
-            ));
-        }
-        let flags = le_u64(&head[6..8]) as u16;
-        if flags & !KNOWN_FLAGS != 0 {
-            return Err(err(
-                6,
-                format!("unknown header flags {:#06x}", flags & !KNOWN_FLAGS),
-            ));
-        }
         let count = le_u64(&head[8..16]);
         self.branch_hint = (flags & FLAG_BRANCH_COUNT != 0).then_some(count);
         self.pos = HEADER_LEN;
         Ok(())
     }
 
-    /// The on-disk format version parsed from the stream's header.
+    /// The on-disk format version of the stream: the header check
+    /// rejects every version but [`VERSION`], so an open reader always
+    /// reports it.
     pub fn version(&self) -> u16 {
-        self.version
+        VERSION
     }
 
     /// Slides unread bytes to the buffer front and reads until the buffer
@@ -531,17 +505,13 @@ impl<W: Write> CbpWriter<W> {
     ///
     /// Propagates I/O errors from the writer.
     pub fn header(&mut self, branches: Option<u64>) -> std::io::Result<()> {
-        let mut h = [0u8; HEADER_LEN];
-        h[0..4].copy_from_slice(&MAGIC);
-        h[4..6].copy_from_slice(&VERSION.to_le_bytes());
         let flags = if branches.is_some() {
             FLAG_BRANCH_COUNT
         } else {
             0
         };
-        h[6..8].copy_from_slice(&flags.to_le_bytes());
-        h[8..16].copy_from_slice(&branches.unwrap_or(0).to_le_bytes());
-        self.w.write_all(&h)
+        self.w.write_all(&CBPT.header(flags))?;
+        self.w.write_all(&branches.unwrap_or(0).to_le_bytes())
     }
 
     /// Encodes and writes one event. Branch events become one fixed-size

@@ -367,7 +367,7 @@ impl EventSource for GeneratorSource {
     }
 }
 
-// Not `binfmt::fnv1a64`: this multiplier is not the FNV prime, and it seeds every generated trace.
+// Not `snap::fnv1a64`: this multiplier is not the FNV prime, and it seeds every generated trace.
 fn hash_name(name: &str) -> u64 {
     name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
