@@ -53,6 +53,8 @@ twin stbpu-serve crates/serve/src/protocol.rs unwrap_used \
     '#[allow(dead_code)] fn lint_twin(b: &[u8]) -> u8 { *b.first().unwrap() }'
 twin stbpu-bpu crates/bpu/src/snap.rs unwrap_used \
     '#[allow(dead_code)] fn lint_twin(b: &[u8]) -> u8 { *b.first().unwrap() }'
+twin stbpu-engine crates/engine/src/slice.rs indexing_slicing \
+    '#[allow(dead_code)] fn lint_twin(b: &[u8]) -> u8 { b[0] }'
 
 if [ "$failures" -ne 0 ]; then
     echo "lint-twins: $failures lint family(ies) no longer fire"

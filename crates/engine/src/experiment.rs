@@ -15,6 +15,7 @@ use crate::parallel::parallel_map;
 use crate::registry::ModelRegistry;
 use crate::report::{csv_header, protection_from_str, report_to_csv_row, report_to_json};
 use crate::resume::{cell_path, run_cell, suite_from_json_line, suite_to_json_line};
+use crate::slice::resolve_threads;
 use crate::stats::{geomean, mean};
 use crate::workload::Workload;
 use stbpu_bpu::snap::{fnv1a64, write_atomic};
@@ -484,10 +485,7 @@ impl Experiment {
                             None => workload.open(*seed, self.branches)?,
                         };
                         let mut model = self.registry.build(&sc.model, *seed)?;
-                        let threads = self.threads.or(match source.thread_count() {
-                            0 => None, // undeclared: session provisions the max
-                            t => Some(t),
-                        });
+                        let threads = resolve_threads(self.threads, source.thread_count());
                         // `&mut ModelCore` (not `&mut dyn Bpu`): the
                         // session monomorphizes over the sealed enum.
                         let mut session = SimSession::new(

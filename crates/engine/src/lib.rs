@@ -66,6 +66,7 @@ mod registry;
 mod report;
 mod resume;
 mod shard;
+mod slice;
 mod spec;
 mod stats;
 mod suite;
@@ -83,10 +84,8 @@ pub use registry::{BtbSpec, MapperSpec, ModelParams, ModelRegistry, ModelSpec, P
 pub use report::{
     auto_protection, csv_header, protection_from_str, report_to_csv_row, report_to_json,
 };
-pub use shard::{
-    cut_checkpoints, resume_session, resume_to_end, run_sequential, run_sharded, ShardConfig,
-    ShardRun, MAX_SHARDS,
-};
+pub use shard::{run_sharded, ShardConfig, ShardRun, MAX_SHARDS};
+pub use slice::{cut_checkpoints, resume_session, resume_to_end, run_sequential};
 pub use spec::ExperimentSpec;
 pub use stats::{geomean, mean};
 pub use suite::WorkloadSuite;

@@ -29,17 +29,27 @@
 //! prefix to exclude — which is also what makes the weighted sum an
 //! unbiased reconstruction.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::error::EngineError;
 use crate::parallel::parallel_map;
 use crate::registry::ModelRegistry;
-use crate::shard::{cut_checkpoints, resolve_threads, resume_session, run_sequential, ShardConfig};
+use crate::shard::ShardConfig;
+use crate::slice::{check_start, cut_checkpoints, run_sequential, source_err};
+use crate::slice::{Counters, Model, Slice, Span, Start};
 use crate::workload::Workload;
 use stbpu_bpu::Bpu;
 use stbpu_phases::{cluster_slices, phase_entries, ClusterConfig, PhaseEntry, PhaseFile};
-use stbpu_sim::{
-    Checkpoint, IntervalWindow, OwnedSession, Protection, SessionOptions, SimReport, Warmup,
-};
-use stbpu_trace::{extract_bbv, EventSource, TraceEvent};
+use stbpu_sim::{Checkpoint, IntervalWindow, Protection, SimReport, Warmup};
+use stbpu_trace::extract_bbv;
 
 /// Cold-start warm-up floor: feeding fewer branches than this leaves
 /// table-driven predictors (TAGE banks, the BTB) visibly cold no matter
@@ -91,10 +101,6 @@ pub struct PhaseRun {
     pub simulated_branches: u64,
 }
 
-fn source_err(e: stbpu_trace::SourceError) -> EngineError {
-    EngineError::WorkloadSource(e.to_string())
-}
-
 /// Profiles `workload` (one streaming BBV pass), clusters the slices,
 /// and assembles a [`PhaseFile`] — plus one checkpoint-cutting pass when
 /// [`PhaseBuildOptions::embed`] asks for warm starts.
@@ -128,11 +134,8 @@ pub fn build_phase_file(
     if let Some((model_spec, protection)) = &opts.embed {
         let targets: Vec<u64> = entries.iter().map(|e| e.start_branch).collect();
         let cfg = ShardConfig {
-            shards: entries.len().max(1),
             warmup: Warmup::Branches(0),
-            interval: None,
-            threads: None,
-            checkpoint_dir: None,
+            ..ShardConfig::default()
         };
         let cps = cut_checkpoints(
             registry,
@@ -145,13 +148,7 @@ pub fn build_phase_file(
             &targets,
         )?;
         for (entry, cp) in entries.iter_mut().zip(&cps) {
-            if cp.events_consumed != entry.start_event || cp.branches_seen != entry.start_branch {
-                return Err(EngineError::Phase(format!(
-                    "checkpoint cut at event {} / branch {} does not match the BBV slice \
-                     boundary at event {} / branch {}",
-                    cp.events_consumed, cp.branches_seen, entry.start_event, entry.start_branch
-                )));
-            }
+            check_start(cp, entry.start_event, entry.start_branch).map_err(EngineError::Phase)?;
             entry.checkpoint = cp.to_bytes();
         }
     }
@@ -168,206 +165,85 @@ pub fn build_phase_file(
     })
 }
 
-/// The predictor counters a phase delta is measured over.
-#[derive(Clone, Copy, Debug, Default)]
-struct Counters {
-    branches: u64,
-    effective_correct: u64,
-    cond: u64,
-    cond_correct: u64,
-    target_needed: u64,
-    target_correct: u64,
-    mispredictions: u64,
-    evictions: u64,
-    flushes: u64,
-    rerandomizations: u64,
-}
-
-fn snapshot<B: Bpu>(session: &OwnedSession<B>) -> Counters {
-    let s = session.model().stats();
-    Counters {
-        branches: s.branches,
-        effective_correct: s.effective_correct,
-        cond: s.cond,
-        cond_correct: s.cond_correct,
-        target_needed: s.target_needed,
-        target_correct: s.target_correct,
-        mispredictions: s.mispredictions,
-        evictions: s.btb_evictions,
-        flushes: s.flushes,
-        rerandomizations: session.model().rerandomizations(),
-    }
-}
-
-fn delta(before: &Counters, after: &Counters) -> Counters {
-    Counters {
-        branches: after.branches - before.branches,
-        effective_correct: after.effective_correct - before.effective_correct,
-        cond: after.cond - before.cond,
-        cond_correct: after.cond_correct - before.cond_correct,
-        target_needed: after.target_needed - before.target_needed,
-        target_correct: after.target_correct - before.target_correct,
-        mispredictions: after.mispredictions - before.mispredictions,
-        evictions: after.evictions - before.evictions,
-        flushes: after.flushes - before.flushes,
-        rerandomizations: after.rerandomizations - before.rerandomizations,
-    }
-}
-
-/// Branch-counted reader over an event source. Batches survive across
-/// calls, so consecutive `advance` calls split a pulled batch exactly at
-/// the branch that reaches each target (shard-cut style) without losing
-/// the remainder.
-struct BranchCursor<'a> {
-    source: &'a mut dyn EventSource,
-    buf: Vec<TraceEvent>,
-    lo: usize,
-}
-
-impl<'a> BranchCursor<'a> {
-    fn new(source: &'a mut dyn EventSource) -> Self {
-        BranchCursor {
-            source,
-            buf: Vec::new(),
-            lo: 0,
-        }
-    }
-
-    /// Advances exactly `need` branch events, handing every consumed
-    /// chunk to `sink` (pass a no-op to discard a prefix, or
-    /// `feed_batch` to simulate it), erroring if the stream ends first.
-    fn advance(
-        &mut self,
-        need: u64,
-        mut sink: impl FnMut(&[TraceEvent]) -> Result<(), EngineError>,
-    ) -> Result<(), EngineError> {
-        let mut remaining = need;
-        while remaining > 0 {
-            if self.lo >= self.buf.len() {
-                self.lo = 0;
-                if self
-                    .source
-                    .next_batch(&mut self.buf, 4_096)
-                    .map_err(source_err)?
-                    == 0
-                {
-                    return Err(EngineError::Phase(format!(
-                        "stream ended {remaining} branches before the phase slice did"
-                    )));
-                }
-            }
-            let mut hi = self.lo;
-            while hi < self.buf.len() && remaining > 0 {
-                if matches!(self.buf[hi], TraceEvent::Branch { .. }) {
-                    remaining -= 1;
-                }
-                hi += 1;
-            }
-            sink(&self.buf[self.lo..hi])?;
-            self.lo = hi;
-        }
-        Ok(())
-    }
-}
-
 /// Simulates one phase's representative slice and returns its counter
-/// delta — measured as the counter difference across exactly the slice's
-/// branches, so anything fed before the snapshot is pure architectural
-/// warm-up.
+/// delta across exactly the slice's branches, so anything fed before is
+/// pure architectural warm-up.
 ///
-/// With an embedded checkpoint (consistent with the requested
-/// configuration) the session resumes the exact warm state of a full run
-/// at the slice boundary. Without one, the model starts cold: the stream
-/// is scanned (not simulated) up to half a slice (floored at
-/// [`COLD_WARM_FLOOR_BRANCHES`]) before the boundary, that stretch is
-/// fed as warm-up, and only then does measurement start — the standard
-/// SimPoint warm-up compromise, bounding cold-start bias at the cost of
+/// With an embedded checkpoint (cut for the requested configuration, at
+/// the entry's start) the slice starts from the exact warm state of a
+/// full run. Without one it starts cold, warmed over half a slice
+/// (floored at [`COLD_WARM_FLOOR_BRANCHES`]) before the boundary — the
+/// standard SimPoint compromise, bounding cold-start bias at the cost of
 /// half an extra simulated slice per phase (the budget behind the
 /// documented estimation error bound and the ≥10x simulated-branch
 /// speedup the bench suite gates).
 fn run_one_phase(
-    registry: &ModelRegistry,
-    model_spec: &str,
-    protection: Protection,
+    m: Model,
     pf: &PhaseFile,
     base: &Workload,
     entry: &PhaseEntry,
 ) -> Result<(Counters, bool, u64), EngineError> {
-    let mut source = base.open(pf.seed, pf.total_branches as usize)?;
-    let (mut session, warm, warm_branches) = if entry.has_checkpoint() {
-        let cp = Checkpoint::from_bytes(&entry.checkpoint).map_err(|e| {
-            EngineError::Phase(format!(
-                "phase {}: embedded checkpoint is corrupt: {e}",
-                entry.rep_slice
-            ))
-        })?;
-        if cp.model_spec != model_spec || cp.protection != protection || cp.seed != pf.seed {
-            return Err(EngineError::Phase(format!(
-                "phase {}: embedded checkpoint was cut for {} under {} (seed {}) — requested {} \
+    let phase_err = |msg: String| EngineError::Phase(format!("phase {}: {msg}", entry.rep_slice));
+    let cp = if entry.has_checkpoint() {
+        let cp = Checkpoint::from_bytes(&entry.checkpoint)
+            .map_err(|e| phase_err(format!("embedded checkpoint is corrupt: {e}")))?;
+        if !m.cut_for(&cp) {
+            return Err(phase_err(format!(
+                "embedded checkpoint was cut for {} under {} (seed {}) — requested {} \
                  under {} (seed {}); rebuild the phase file without --embed-model for a \
                  model-independent one",
-                entry.rep_slice,
                 cp.model_spec,
                 cp.protection.label(),
                 cp.seed,
-                model_spec,
-                protection.label(),
-                pf.seed
+                m.spec,
+                m.protection.label(),
+                m.seed
             )));
         }
-        let session = resume_session(registry, &cp)?;
-        let skipped = source.skip_events(cp.events_consumed).map_err(source_err)?;
-        if skipped != cp.events_consumed {
-            return Err(EngineError::Phase(format!(
-                "phase {}: stream has only {skipped} of the {} events its checkpoint consumed",
-                entry.rep_slice, cp.events_consumed
-            )));
-        }
-        (session, true, 0)
+        check_start(&cp, entry.start_event, entry.start_branch).map_err(phase_err)?;
+        Some(cp)
     } else {
-        let model = registry.build(model_spec, pf.seed)?;
-        let threads = resolve_threads(None, source.thread_count());
-        let mut session = OwnedSession::new(
-            model,
-            protection,
-            SessionOptions {
-                warmup: Warmup::Branches(0),
-                threads,
-                interval: None,
-                workload: None,
-            },
-        )?;
-        session.begin(source.name(), source.branch_hint())?;
-        // Warm over the half-slice preceding the representative (any
-        // branch position is a valid cut point, so the warm-up start
-        // needs no slice alignment), floored at the predictor warm-up
-        // horizon for small slices.
-        let warm_branches = (pf.slice_branches / 2)
-            .max(COLD_WARM_FLOOR_BRANCHES)
-            .min(entry.start_branch);
-        (session, false, warm_branches)
+        None
     };
-
-    let mut cursor = BranchCursor::new(source.as_mut());
-    if !warm {
-        cursor.advance(entry.start_branch - warm_branches, |_| Ok(()))?;
-        cursor.advance(warm_branches, |chunk| {
-            session.feed_batch(chunk).map_err(EngineError::from)
-        })?;
+    // Cold starts warm over the half-slice preceding the representative
+    // (any branch position is a valid cut point, so the warm-up start
+    // needs no slice alignment), floored at the predictor warm-up horizon
+    // for small slices.
+    let at = entry.start_branch;
+    let warm = COLD_WARM_FLOOR_BRANCHES.max(pf.slice_branches / 2).min(at);
+    let (start, warm) = match &cp {
+        Some(cp) => (Start::Checkpoint(cp), 0),
+        None => (Start::Cold { at, warm }, warm),
+    };
+    let mut source = base.open(pf.seed, pf.total_branches as usize)?;
+    let mut slice = Slice::open(m, source.as_mut(), start, EngineError::Phase)?;
+    let before = slice.counters();
+    slice.reach(Span::Branch(entry.start_branch + entry.rep_branches), true)?;
+    let mut d = slice.counters();
+    for (v, b) in d.iter_mut().zip(before) {
+        *v -= b;
     }
-    let before = snapshot(&session);
-    cursor.advance(entry.rep_branches, |chunk| {
-        session.feed_batch(chunk).map_err(EngineError::from)
-    })?;
-    let after = snapshot(&session);
-    let d = delta(&before, &after);
-    if d.branches != entry.rep_branches {
-        return Err(EngineError::Phase(format!(
-            "phase {}: measured {} branches, expected {}",
-            entry.rep_slice, d.branches, entry.rep_branches
+    let [measured, ..] = d;
+    if measured != entry.rep_branches {
+        return Err(phase_err(format!(
+            "measured {measured} branches, expected {}",
+            entry.rep_branches
         )));
     }
-    Ok((d, warm, warm_branches))
+    Ok((d, cp.is_some(), warm))
+}
+
+/// The phase file and base workload of a [`Workload::Phases`].
+fn phases_of<'w>(
+    workload: &'w Workload,
+    who: &str,
+) -> Result<(&'w PhaseFile, &'w Workload), EngineError> {
+    match workload {
+        Workload::Phases { file, base } => Ok((file, base)),
+        other => Err(EngineError::Phase(format!(
+            "{who} needs a Workload::Phases, got {other:?}"
+        ))),
+    }
 }
 
 /// Runs `model_spec` under `protection` over a [`Workload::Phases`]
@@ -386,14 +262,7 @@ pub fn run_phases(
     protection: Protection,
     workload: &Workload,
 ) -> Result<PhaseRun, EngineError> {
-    let (file, base) = match workload {
-        Workload::Phases { file, base } => (file.as_ref(), base.as_ref()),
-        other => {
-            return Err(EngineError::Phase(format!(
-                "run_phases needs a Workload::Phases, got {other:?}"
-            )))
-        }
-    };
+    let (file, base) = phases_of(workload, "run_phases")?;
     run_phase_file(registry, model_spec, protection, file, base)
 }
 
@@ -420,17 +289,16 @@ pub fn run_phase_file(
     // supplies the report's model name.
     let model_name = registry.build(model_spec, pf.seed)?.name().to_string();
 
-    let idx: Vec<usize> = (0..pf.phases.len()).collect();
-    let results = parallel_map(idx, |&i| {
-        run_one_phase(registry, model_spec, protection, pf, base, &pf.phases[i])
+    let m = Model::new(registry, model_spec, protection, pf.seed);
+    let results = parallel_map(pf.phases.iter().collect(), |entry| {
+        run_one_phase(m, pf, base, entry)
     });
 
     // Weighted reconstruction in u128: when weight == rep (k = slice
     // count) each term is exactly the measured delta, so the whole-trace
     // totals — and the rate divisions below — match a full run bit for
     // bit.
-    let mut tot = Counters::default();
-    let mut est = [0u128; 9];
+    let mut est = [0u128; 10];
     let mut warm_phases = 0usize;
     let mut simulated_branches = 0u64;
     for (entry, res) in pf.phases.iter().zip(results) {
@@ -439,49 +307,27 @@ pub fn run_phase_file(
         simulated_branches += entry.rep_branches + warm_fed;
         let w = entry.weight_branches as u128;
         let rep = entry.rep_branches.max(1) as u128;
-        let scale = |v: u64| -> u128 { w * v as u128 / rep };
-        est[0] += scale(d.effective_correct);
-        est[1] += scale(d.cond);
-        est[2] += scale(d.cond_correct);
-        est[3] += scale(d.target_needed);
-        est[4] += scale(d.target_correct);
-        est[5] += scale(d.mispredictions);
-        est[6] += scale(d.evictions);
-        est[7] += scale(d.flushes);
-        est[8] += scale(d.rerandomizations);
+        for (e, v) in est.iter_mut().zip(d) {
+            *e += w * v as u128 / rep;
+        }
     }
-    tot.branches = pf.total_branches;
-    tot.effective_correct = est[0] as u64;
-    tot.cond = est[1] as u64;
-    tot.cond_correct = est[2] as u64;
-    tot.target_needed = est[3] as u64;
-    tot.target_correct = est[4] as u64;
-    tot.mispredictions = est[5] as u64;
-    tot.evictions = est[6] as u64;
-    tot.flushes = est[7] as u64;
-    tot.rerandomizations = est[8] as u64;
+    let branches = pf.total_branches;
+    let [_, effective_correct, cond, cond_correct, target_needed, target_correct, mispredictions, evictions, flushes, rerandomizations] =
+        est.map(|v| v as u64);
 
     // The same rate expressions BpuStats uses, over the reconstructed
     // numerators.
-    let oae = if tot.branches == 0 {
-        1.0
-    } else {
-        tot.effective_correct as f64 / tot.branches as f64
-    };
-    let direction_rate = if tot.cond == 0 {
-        1.0
-    } else {
-        tot.cond_correct as f64 / tot.cond as f64
-    };
-    let target_rate = if tot.target_needed == 0 {
-        1.0
-    } else {
-        tot.target_correct as f64 / tot.target_needed as f64
+    let rate = |num: u64, den: u64| {
+        if den == 0 {
+            1.0
+        } else {
+            num as f64 / den as f64
+        }
     };
     let mpki = if pf.total_instructions == 0 {
         0.0
     } else {
-        tot.mispredictions as f64 * 1_000.0 / pf.total_instructions as f64
+        mispredictions as f64 * 1_000.0 / pf.total_instructions as f64
     };
 
     Ok(PhaseRun {
@@ -489,14 +335,14 @@ pub fn run_phase_file(
             model: model_name,
             protection: protection.label(),
             workload: pf.workload.clone(),
-            oae,
-            direction_rate,
-            target_rate,
-            branches: tot.branches,
-            mispredictions: tot.mispredictions,
-            evictions: tot.evictions,
-            flushes: tot.flushes,
-            rerandomizations: tot.rerandomizations,
+            oae: rate(effective_correct, branches),
+            direction_rate: rate(cond_correct, cond),
+            target_rate: rate(target_correct, target_needed),
+            branches,
+            mispredictions,
+            evictions,
+            flushes,
+            rerandomizations,
         },
         mpki,
         phases: pf.phases.len(),
@@ -518,14 +364,7 @@ pub fn run_phases_vs_full(
     protection: Protection,
     workload: &Workload,
 ) -> Result<(PhaseRun, SimReport, Vec<IntervalWindow>), EngineError> {
-    let (file, base) = match workload {
-        Workload::Phases { file, base } => (file.as_ref(), base.as_ref()),
-        other => {
-            return Err(EngineError::Phase(format!(
-                "run_phases_vs_full needs a Workload::Phases, got {other:?}"
-            )))
-        }
-    };
+    let (file, base) = phases_of(workload, "run_phases_vs_full")?;
     let run = run_phase_file(registry, model_spec, protection, file, base)?;
     let (full, windows) = run_sequential(
         registry,
@@ -632,6 +471,37 @@ mod tests {
         assert_eq!(run.report.flushes, full.flushes);
         assert_eq!(run.report.rerandomizations, full.rerandomizations);
         assert_eq!(run.warm_phases, n_slices);
+    }
+
+    #[test]
+    fn swapped_embedded_checkpoints_are_rejected() {
+        // Every checkpoint in the file is cut for the right configuration,
+        // but two of them sit at each other's slice start: a warm phase
+        // must start where its entry says, or fail.
+        let reg = registry();
+        let wl = Workload::Named("541.leela".to_string());
+        let opts = PhaseBuildOptions {
+            slice_branches: 2_000,
+            cluster: ClusterConfig {
+                forced_k: Some(4),
+                ..ClusterConfig::default()
+            },
+            embed: Some(("st_skl@r=0.05".to_string(), Protection::Stbpu)),
+        };
+        let mut pf = build_phase_file(&reg, 5, &wl, 8_000, &opts).unwrap();
+        assert_eq!(pf.phases.len(), 4);
+        let (a, b) = (
+            pf.phases[1].checkpoint.clone(),
+            pf.phases[2].checkpoint.clone(),
+        );
+        pf.phases[1].checkpoint = b;
+        pf.phases[2].checkpoint = a;
+        let pf = PhaseFile::from_bytes(&pf.to_bytes()).unwrap();
+        let err = run_phase_file(&reg, "st_skl@r=0.05", Protection::Stbpu, &pf, &wl).unwrap_err();
+        match err {
+            EngineError::Phase(msg) => assert!(msg.contains("does not match"), "{msg}"),
+            other => panic!("expected Phase error, got {other:?}"),
+        }
     }
 
     #[test]

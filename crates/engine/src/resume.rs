@@ -18,9 +18,9 @@
 //!   series must equal the uninterrupted one.
 //!
 //! On resume, suites present in the log are skipped outright; a live cell
-//! checkpoint warm-starts its cell via [`crate::resume_session`] +
-//! [`stbpu_trace::EventSource::skip_events`]. Both paths are
-//! bit-identical to never having been killed (test- and CI-enforced).
+//! checkpoint is the start of the cell's slice (see [`crate::slice`]).
+//! Both paths are bit-identical to never having been killed (test- and
+//! CI-enforced).
 
 #![deny(
     clippy::unwrap_used,
@@ -37,103 +37,73 @@ use crate::experiment::{RunRecord, Scenario};
 use crate::minijson::{escape, Json};
 use crate::registry::ModelRegistry;
 use crate::report::protection_from_str;
-use crate::shard::resume_session;
+use crate::slice::{ckpt_err, Model, Slice, Span, Start};
 use crate::workload::Workload;
-use stbpu_sim::{Checkpoint, IntervalWindow, OwnedSession, SessionOptions, SimReport, Warmup};
+use stbpu_sim::{Checkpoint, IntervalWindow, SimReport, Warmup};
 use std::path::{Path, PathBuf};
-/// Batch size for the cell feed loop (matches the session's pull size).
-const CELL_BATCH: usize = 4_096;
 
 /// In-flight checkpoint path for one cell of the grid.
 pub(crate) fn cell_path(dir: &Path, suite: usize, scenario: usize) -> PathBuf {
     dir.join(format!("cell-{suite}-{scenario}.stck"))
 }
 
-fn push_str_field(out: &mut String, key: &str, val: &str, first: bool) {
-    if !first {
-        out.push(',');
-    }
-    out.push_str(&escape(key));
-    out.push(':');
-    out.push_str(&escape(val));
-}
-
 /// One completed suite as a `completed.jsonl` line (no trailing newline).
 pub(crate) fn suite_to_json_line(suite: usize, records: &[RunRecord]) -> String {
-    let mut out = String::from("{");
-    push_str_field(&mut out, "suite", &suite.to_string(), true);
-    out.push_str(",\"records\":[");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        push_str_field(&mut out, "workload", &r.workload, true);
-        push_str_field(&mut out, "model_spec", &r.model_spec, false);
-        push_str_field(&mut out, "seed", &r.seed.to_string(), false);
-        out.push_str(",\"report\":{");
-        push_str_field(&mut out, "model", &r.report.model, true);
-        push_str_field(&mut out, "protection", r.report.protection, false);
-        push_str_field(&mut out, "workload", &r.report.workload, false);
-        push_str_field(&mut out, "oae", &format!("{}", r.report.oae), false);
-        push_str_field(
-            &mut out,
-            "direction_rate",
-            &format!("{}", r.report.direction_rate),
-            false,
-        );
-        push_str_field(
-            &mut out,
-            "target_rate",
-            &format!("{}", r.report.target_rate),
-            false,
-        );
-        push_str_field(&mut out, "branches", &r.report.branches.to_string(), false);
-        push_str_field(
-            &mut out,
-            "mispredictions",
-            &r.report.mispredictions.to_string(),
-            false,
-        );
-        push_str_field(
-            &mut out,
-            "evictions",
-            &r.report.evictions.to_string(),
-            false,
-        );
-        push_str_field(&mut out, "flushes", &r.report.flushes.to_string(), false);
-        push_str_field(
-            &mut out,
-            "rerandomizations",
-            &r.report.rerandomizations.to_string(),
-            false,
-        );
-        out.push_str("},\"intervals\":[");
-        for (j, w) in r.intervals.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "[\"{}\",\"{}\",\"{}\",\"{}\",\"{}\",\"{}\"]",
-                w.start_branch,
-                w.branches,
-                w.effective_correct,
-                w.mispredictions,
-                w.flushes,
-                w.rerandomizations
-            ));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
+    let fields = |pairs: &[(&str, String)]| {
+        let kv: Vec<String> = pairs
+            .iter()
+            .map(|(k, v)| format!("{}:{}", escape(k), escape(v)))
+            .collect();
+        kv.join(",")
+    };
+    let records: Vec<String> = records
+        .iter()
+        .map(|r| {
+            let rep = &r.report;
+            let report = fields(&[
+                ("model", rep.model.clone()),
+                ("protection", rep.protection.to_string()),
+                ("workload", rep.workload.clone()),
+                ("oae", rep.oae.to_string()),
+                ("direction_rate", rep.direction_rate.to_string()),
+                ("target_rate", rep.target_rate.to_string()),
+                ("branches", rep.branches.to_string()),
+                ("mispredictions", rep.mispredictions.to_string()),
+                ("evictions", rep.evictions.to_string()),
+                ("flushes", rep.flushes.to_string()),
+                ("rerandomizations", rep.rerandomizations.to_string()),
+            ]);
+            let windows: Vec<String> = r
+                .intervals
+                .iter()
+                .map(|w| {
+                    format!(
+                        "[\"{}\",\"{}\",\"{}\",\"{}\",\"{}\",\"{}\"]",
+                        w.start_branch,
+                        w.branches,
+                        w.effective_correct,
+                        w.mispredictions,
+                        w.flushes,
+                        w.rerandomizations
+                    )
+                })
+                .collect();
+            let head = fields(&[
+                ("workload", r.workload.clone()),
+                ("model_spec", r.model_spec.clone()),
+                ("seed", r.seed.to_string()),
+            ]);
+            format!(
+                "{{{head},\"report\":{{{report}}},\"intervals\":[{}]}}",
+                windows.join(",")
+            )
+        })
+        .collect();
+    let head = fields(&[("suite", suite.to_string())]);
+    format!("{{{head},\"records\":[{}]}}", records.join(","))
 }
 
-fn str_u64(j: &Json, key: &str) -> Option<u64> {
-    j.get(key)?.as_str()?.parse().ok()
-}
-
-fn str_f64(j: &Json, key: &str) -> Option<f64> {
+fn str_parse<T: std::str::FromStr>(j: &Json, key: &str) -> Option<T> {
     j.get(key)?.as_str()?.parse().ok()
 }
 
@@ -153,7 +123,7 @@ fn record_from_json(j: &Json) -> Option<RunRecord> {
         let v: Vec<u64> = w
             .as_array()?
             .iter()
-            .map(|x| x.as_str().and_then(|s| s.parse().ok()))
+            .map(|x| x.as_str()?.parse().ok())
             .collect::<Option<_>>()?;
         let &[start_branch, branches, effective_correct, mispredictions, flushes, rerandomizations] =
             v.as_slice()
@@ -172,19 +142,19 @@ fn record_from_json(j: &Json) -> Option<RunRecord> {
     Some(RunRecord {
         workload: str_string(j, "workload")?,
         model_spec: str_string(j, "model_spec")?,
-        seed: str_u64(j, "seed")?,
+        seed: str_parse(j, "seed")?,
         report: SimReport {
             model: str_string(rep, "model")?,
             protection,
             workload: str_string(rep, "workload")?,
-            oae: str_f64(rep, "oae")?,
-            direction_rate: str_f64(rep, "direction_rate")?,
-            target_rate: str_f64(rep, "target_rate")?,
-            branches: str_u64(rep, "branches")?,
-            mispredictions: str_u64(rep, "mispredictions")?,
-            evictions: str_u64(rep, "evictions")?,
-            flushes: str_u64(rep, "flushes")?,
-            rerandomizations: str_u64(rep, "rerandomizations")?,
+            oae: str_parse(rep, "oae")?,
+            direction_rate: str_parse(rep, "direction_rate")?,
+            target_rate: str_parse(rep, "target_rate")?,
+            branches: str_parse(rep, "branches")?,
+            mispredictions: str_parse(rep, "mispredictions")?,
+            evictions: str_parse(rep, "evictions")?,
+            flushes: str_parse(rep, "flushes")?,
+            rerandomizations: str_parse(rep, "rerandomizations")?,
         },
         intervals,
     })
@@ -194,7 +164,7 @@ fn record_from_json(j: &Json) -> Option<RunRecord> {
 /// notably the partial trailing line a kill can leave behind.
 pub(crate) fn suite_from_json_line(line: &str) -> Option<(usize, Vec<RunRecord>)> {
     let j = Json::parse(line).ok()?;
-    let suite = str_u64(&j, "suite")? as usize;
+    let suite = str_parse::<u64>(&j, "suite")? as usize;
     let records = j
         .get("records")?
         .as_array()?
@@ -202,10 +172,6 @@ pub(crate) fn suite_from_json_line(line: &str) -> Option<(usize, Vec<RunRecord>)
         .map(record_from_json)
         .collect::<Option<Vec<_>>>()?;
     Some((suite, records))
-}
-
-fn src_err(e: stbpu_trace::SourceError) -> EngineError {
-    EngineError::WorkloadSource(e.to_string())
 }
 
 /// Runs one grid cell with periodic in-flight checkpointing, resuming
@@ -232,68 +198,26 @@ pub(crate) fn run_cell(
     cell: &Path,
     checkpoint_every: u64,
 ) -> Result<RunRecord, EngineError> {
-    let mut source = workload.open(seed, branches)?;
-
     // A valid in-flight checkpoint for exactly this cell warm-starts it;
     // anything stale or mismatched is ignored and the cell runs fresh.
-    let resumable = Checkpoint::load(cell).ok().filter(|cp| {
-        cp.model_spec == sc.model && cp.seed == seed && cp.protection == sc.protection
-    });
-    let (mut session, mut events_fed) = match resumable {
-        Some(cp) => {
-            let s = resume_session(registry, &cp)?;
-            let skipped = source.skip_events(cp.events_consumed).map_err(src_err)?;
-            if skipped != cp.events_consumed {
-                return Err(EngineError::Checkpoint(format!(
-                    "cell checkpoint consumed {} events but its stream has only {skipped}",
-                    cp.events_consumed
-                )));
-            }
-            (s, cp.events_consumed)
-        }
-        None => {
-            let model = registry.build(&sc.model, seed)?;
-            let threads = threads.or(match source.thread_count() {
-                0 => None,
-                t => Some(t),
-            });
-            let mut s: OwnedSession<crate::ModelCore> = OwnedSession::new(
-                model,
-                sc.protection,
-                SessionOptions {
-                    warmup,
-                    threads,
-                    interval,
-                    workload: None,
-                },
-            )?;
-            s.begin(source.name(), source.branch_hint())?;
-            (s, 0u64)
-        }
+    let m = Model::new(registry, &sc.model, sc.protection, seed);
+    let resumable = Checkpoint::load(cell).ok().filter(|cp| m.cut_for(cp));
+    let start = match &resumable {
+        Some(cp) => Start::Checkpoint(cp),
+        None => Start::Fresh(warmup, interval, threads),
     };
-
-    let mut buf = Vec::new();
-    let mut last_saved = session.branches_seen();
+    let mut source = workload.open(seed, branches)?;
+    let mut slice = Slice::open(m, source.as_mut(), start, EngineError::Checkpoint)?;
+    // Save every `checkpoint_every` branches; a model without snapshot
+    // support runs the rest of the cell in one span.
     let mut every = checkpoint_every.max(1);
-    loop {
-        let n = source.next_batch(&mut buf, CELL_BATCH).map_err(src_err)?;
-        if n == 0 {
-            break;
-        }
-        session.feed_batch(&buf)?;
-        events_fed += n as u64;
-        if session.branches_seen().saturating_sub(last_saved) >= every {
-            match Checkpoint::capture(&session, &sc.model, seed, events_fed) {
-                Ok(cp) => {
-                    cp.save(cell)
-                        .map_err(|e| EngineError::Checkpoint(e.to_string()))?;
-                    last_saved = session.branches_seen();
-                }
-                Err(_) => every = u64::MAX,
-            }
+    while slice.advance(Span::Branch(slice.branches().saturating_add(every)), true)? {
+        match slice.capture() {
+            Ok(cp) => cp.save(cell).map_err(ckpt_err)?,
+            Err(_) => every = u64::MAX,
         }
     }
-    let (report, intervals) = session.finish_with_intervals();
+    let (report, intervals) = slice.finish()?;
     Ok(RunRecord {
         workload: workload.label(),
         model_spec: sc.model.clone(),

@@ -451,6 +451,26 @@ fn decode_event(
     }
 }
 
+/// Decodes the first record of a stream tail that may hold fewer than
+/// [`MAX_RECORD`] bytes, returning it with its encoded length. The record
+/// is decoded out of a zero-padded copy so the trusted-index decoder
+/// stays in bounds; a decode that consumed padding means the stream ended
+/// inside the record. Both `.stbt` readers decode their tails here.
+fn decode_padded(tail: &[u8], last_pc: &mut [u64; 256]) -> Result<(TraceEvent, usize), String> {
+    let remaining = tail.len();
+    let take = remaining.min(MAX_RECORD);
+    let mut pad = [0u8; MAX_RECORD];
+    pad[..take].copy_from_slice(&tail[..take]);
+    let mut i = 0;
+    let ev = decode_event(&pad, &mut i, last_pc)?;
+    if i > remaining {
+        return Err(format!(
+            "truncated record: the {remaining} trailing bytes do not form a complete record"
+        ));
+    }
+    Ok((ev, i))
+}
+
 /// Streaming `.stbt` reader: an [`EventSource`] decoding records out of an
 /// internal 256 KiB buffer, so any `Read` (a bare `File` included — no
 /// `BufReader` needed) streams in O(1) memory. The [`EventSource::next_batch`]
@@ -585,26 +605,13 @@ impl<R: Read> BinTraceReader<R> {
         }
     }
 
-    /// Decodes the trailing (post-EOF) bytes, which may be shorter than
-    /// [`MAX_RECORD`]: the remainder is copied into a zero-padded scratch
-    /// array so the trusted-index decoder stays panic-free, and a decode
-    /// that consumed padding means the final record was cut off.
+    /// Decodes one record of the trailing (post-EOF) bytes, which may be
+    /// shorter than [`MAX_RECORD`] (see [`decode_padded`]).
     fn decode_tail(&mut self) -> Result<TraceEvent, BinTraceError> {
-        let remaining = self.filled - self.pos;
-        debug_assert!(self.eof && remaining < MAX_RECORD);
-        let mut pad = [0u8; MAX_RECORD];
-        pad[..remaining].copy_from_slice(&self.buf[self.pos..self.filled]);
-        let mut i = 0;
-        match decode_event(&pad, &mut i, &mut self.last_pc) {
-            Ok(_) if i > remaining => Err(self.record_error(
-                self.pos,
-                format!(
-                    "truncated record: the {remaining} trailing bytes do not form a \
-                     complete record"
-                ),
-            )),
-            Ok(ev) => {
-                self.pos += i;
+        debug_assert!(self.eof && self.filled - self.pos < MAX_RECORD);
+        match decode_padded(&self.buf[self.pos..self.filled], &mut self.last_pc) {
+            Ok((ev, len)) => {
+                self.pos += len;
                 self.records += 1;
                 Ok(ev)
             }
@@ -844,28 +851,11 @@ impl RecordDecoder {
         self.poisoned = true; // spent either way
         let mut pos = 0;
         while pos < self.carry.len() {
-            let remaining = self.carry.len() - pos;
-            // Zero-padded scratch keeps the trusted-index decoder in
-            // bounds; consuming padding means the record was cut off
-            // (the same tail discipline as `BinTraceReader`).
-            let mut pad = [0u8; MAX_RECORD];
-            let take = remaining.min(MAX_RECORD);
-            pad[..take].copy_from_slice(&self.carry[pos..pos + take]);
-            let mut i = 0;
-            match decode_event(&pad, &mut i, &mut self.last_pc) {
-                Ok(_) if i > remaining => {
-                    return Err(self.record_error(
-                        pos,
-                        format!(
-                            "truncated record: the {remaining} trailing bytes do not \
-                             form a complete record"
-                        ),
-                    ));
-                }
-                Ok(ev) => {
+            match decode_padded(&self.carry[pos..], &mut self.last_pc) {
+                Ok((ev, len)) => {
                     out.push(ev);
                     self.records += 1;
-                    pos += i;
+                    pos += len;
                 }
                 Err(msg) => return Err(self.record_error(pos, msg)),
             }
@@ -1192,6 +1182,36 @@ mod tests {
         assert_eq!(e.offset(), 2);
         assert_eq!(e.record(), 2);
         assert_eq!(out.len(), 1, "first record decoded before the damage");
+    }
+
+    #[test]
+    fn file_reader_and_record_decoder_agree_on_every_cut() {
+        type Outcome = Result<Vec<TraceEvent>, (u64, u64, String)>;
+        let t = sample(20);
+        let file = encode(&t);
+        let records = encode_records(&t);
+        let header = file.len() - records.len();
+        assert_eq!(&file[header..], records.as_slice());
+        for cut in 0..=records.len() {
+            let read = || -> Result<Vec<TraceEvent>, BinTraceError> {
+                let mut r = BinTraceReader::new(&file[..header + cut])?;
+                let mut out = Vec::new();
+                while let Some(ev) = r.next_record()? {
+                    out.push(ev);
+                }
+                Ok(out)
+            };
+            let from_file: Outcome =
+                read().map_err(|e| (e.offset() - header as u64, e.record(), e.msg));
+            let mut dec = RecordDecoder::new();
+            let mut out = Vec::new();
+            let from_stream: Outcome = dec
+                .feed(&records[..cut], &mut out)
+                .and_then(|()| dec.finish(&mut out))
+                .map(|()| out)
+                .map_err(|e| (e.offset(), e.record(), e.msg));
+            assert_eq!(from_file, from_stream, "cut at record byte {cut}");
+        }
     }
 
     #[test]
