@@ -125,9 +125,9 @@ impl fmt::Debug for RemapMemo {
 /// crucial for stopping same-address-space attacks \[78\].
 ///
 /// The hardware circuits run in one cycle beside the table lookup; in
-/// software each is a ~100 ns evaluation, so every mapper memoizes each
-/// circuit in a small direct-mapped table keyed by its complete input
-/// (ψ plus operand). The memo is not model state: it is never saved, and
+/// software each is 30–51 fused table lookups (~30–80 ns), several times
+/// a memo probe, so every mapper memoizes each circuit in a small
+/// direct-mapped table keyed by its complete input (ψ plus operand). The memo is not model state: it is never saved, and
 /// results are identical with or without it.
 ///
 /// ```

@@ -24,7 +24,7 @@ use std::sync::OnceLock;
 ///
 /// Each function keeps two representations: the structural [`Circuit`]
 /// (cost model, `describe()`, the Figure 2 harness) and a
-/// [`CompiledCircuit`] lowered to flat lookup tables at construction —
+/// [`CompiledCircuit`] lowered to fused lookup tables at construction —
 /// the representation the per-branch `r1`..`rp` calls evaluate, so the
 /// simulator hot path never interprets layer lists.
 ///

@@ -61,6 +61,23 @@ impl Layer {
         }
     }
 
+    /// Applies the layer to a state `x` of its input width.
+    pub(crate) fn apply(&self, x: u128) -> u128 {
+        match self {
+            Layer::Substitute(boxes) => boxes.iter().fold(0, |y, &(off, kind)| {
+                let v = ((x >> off) as u8) & ((1u16 << kind.width()) - 1) as u8;
+                y | (kind.apply(v) as u128) << off
+            }),
+            Layer::Permute(perm) => perm
+                .iter()
+                .enumerate()
+                .fold(0, |y, (i, &src)| y | ((x >> src) & 1) << i),
+            Layer::Compress(masks) => masks.iter().enumerate().fold(0, |y, (i, &m)| {
+                y | (((x & m).count_ones() & 1) as u128) << i
+            }),
+        }
+    }
+
     /// Maximum number of wires any single wire crosses (P-boxes only; other
     /// layers route straight through).
     pub fn max_wire_crossings(&self) -> u32 {
@@ -269,32 +286,8 @@ impl Circuit {
         };
         let mut width = self.input_bits;
         for layer in &self.layers {
-            match layer {
-                Layer::Substitute(boxes) => {
-                    let mut y = 0u128;
-                    for &(off, kind) in boxes {
-                        let w = kind.width();
-                        let v = ((x >> off) as u8) & ((1u16 << w) - 1) as u8;
-                        y |= (kind.apply(v) as u128) << off;
-                    }
-                    x = y;
-                }
-                Layer::Permute(perm) => {
-                    let mut y = 0u128;
-                    for (i, &src) in perm.iter().enumerate() {
-                        y |= ((x >> src) & 1) << i;
-                    }
-                    x = y;
-                }
-                Layer::Compress(masks) => {
-                    let mut y = 0u128;
-                    for (i, &m) in masks.iter().enumerate() {
-                        y |= (((x & m).count_ones() & 1) as u128) << i;
-                    }
-                    x = y;
-                    width = masks.len() as u32;
-                }
-            }
+            x = layer.apply(x);
+            width = layer.output_width(width);
         }
         debug_assert_eq!(width, self.output_bits);
         x as u64

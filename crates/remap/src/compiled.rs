@@ -1,46 +1,111 @@
-//! Precompiled circuit evaluation: flat lookup tables for the hot path.
+//! Precompiled circuit evaluation: fused S-box→linear lookup tables.
 //!
 //! [`crate::Circuit::eval`] walks the layer list interpreting it bit by
 //! bit — a permutation layer alone costs one shift/mask/or per wire (up to
 //! 96 of them), and the simulator evaluates several circuits per branch.
-//! A [`CompiledCircuit`] lowers every layer into flat byte-sliced lookup
-//! tables once, at construction time:
+//! A [`CompiledCircuit`] lowers the layer list once, at construction time,
+//! into *fused stages*: one per substitution layer, together with every
+//! linear layer (permutation, compression) that follows it.
 //!
-//! * substitution layers become pre-shifted S-box LUTs (`lut[v]` already
-//!   carries the output at its bit offset),
-//! * permutation layers become per-input-byte scatter tables OR-combined
-//!   (8 wires per table lookup instead of 1 per shift),
-//! * compression layers become per-input-byte parity tables XOR-combined
-//!   (XOR is parity-additive across byte slices).
+//! Permutation and compression are XOR-linear, and the S-boxes of a layer
+//! tile the state disjointly, so for the linear tail `L` of a stage
 //!
-//! Evaluation is a handful of table lookups with no per-call allocation
-//! and no data-dependent branching, and is bit-identical to the
-//! interpreted [`crate::Circuit::eval`] (property-tested below).
+//! ```text
+//! L(S(x)) = XOR over boxes b of L(S_b(x_b) << off_b)
+//! ```
+//!
+//! Each box therefore becomes a 16-entry table of its output already
+//! pushed through `L`, and a stage evaluates as an XOR of one lookup per
+//! box. A leading linear layer gets a stage of identity 4-bit boxes. Stage
+//! outputs of at most 64 bits (every canonical stage) use `u64` entries,
+//! wider ones `u128`; the six canonical circuits need ~28 KiB of tables in
+//! total, small enough to stay cached beside the predictor tables.
+//!
+//! Evaluation allocates nothing, has no data-dependent branching, and is
+//! bit-identical to the interpreted [`crate::Circuit::eval`] (property-
+//! tested below and in `tests/properties.rs`).
 
 use crate::circuit::{Circuit, Layer};
+use std::mem::size_of;
+use std::ops::BitXor;
 
-/// One pre-shifted S-box: `lut[v]` is `apply(v) << off` for the box's bit
-/// offset, so applying a whole substitution layer is an OR-reduction.
+/// One S-box of a fused stage: `lut[v]` is the stage output of the box
+/// reading `v` at bit offset `off`, all other boxes reading zero. Boxes
+/// narrower than 4 bits repeat their table, so the index mask is always
+/// `0xf` (a bit above the box belongs to the next box or is zero).
 #[derive(Clone, Debug)]
-struct SubBox {
-    off: u32,
-    mask: u8,
-    lut: [u128; 16],
+struct FusedBox<T> {
+    /// The 32-bit word of the state holding the box's offset (wide stages).
+    word: u8,
+    /// The box's offset from the start of its window: the full offset in
+    /// narrow stages, the offset within `word` in wide ones.
+    shift: u8,
+    lut: [T; 16],
 }
 
-/// One compiled layer. Byte-sliced tables cover `ceil(width / 8)` input
-/// bytes; out-of-width bits are zero in every table entry.
+/// One substitution layer fused with the linear layers that follow it.
+/// Linear layers never widen the state, so a stage with a narrow input
+/// has a narrow output.
 #[derive(Clone, Debug)]
-enum CompiledLayer {
-    /// Parallel pre-shifted S-box LUTs (OR-combined).
-    Substitute(Vec<SubBox>),
-    /// Permutation as per-byte scatter tables (OR-combined).
-    Scatter(Vec<[u128; 256]>),
-    /// XOR-compression as per-byte parity tables (XOR-combined).
-    Parity(Vec<[u128; 256]>),
+enum Stage {
+    /// Input and output of at most 64 bits (every canonical stage after
+    /// the first): boxes index the state with one `u64` shift.
+    Narrow(Vec<FusedBox<u64>>),
+    /// Input wider than 64 bits, output of at most 64.
+    Reduce(Vec<FusedBox<u64>>),
+    /// Input and output wider than 64 bits.
+    Wide(Vec<FusedBox<u128>>),
 }
 
-/// A [`Circuit`] lowered to flat lookup tables — same outputs, built once,
+/// XOR of every box's lookup for a state of at most 64 bits.
+#[inline]
+fn lookup_narrow(boxes: &[FusedBox<u64>], x: u64) -> u64 {
+    boxes
+        .iter()
+        .fold(0, |y, b| y ^ b.lut[(x >> b.shift) as usize & 0xf])
+}
+
+/// XOR of every box's lookup for a state of up to 128 bits. Each box reads
+/// the 64-bit window starting at the 32-bit word holding its offset, so no
+/// box straddles a window edge.
+#[inline]
+fn lookup_wide<T: Copy + Default + BitXor<Output = T>>(boxes: &[FusedBox<T>], x: u128) -> T {
+    let words = [
+        x as u64,
+        (x >> 32) as u64,
+        (x >> 64) as u64,
+        (x >> 96) as u64,
+    ];
+    boxes.iter().fold(T::default(), |y, b| {
+        y ^ b.lut[(words[b.word as usize & 3] >> b.shift) as usize & 0xf]
+    })
+}
+
+/// The boxes of a stage reading `in_width` bits, from `(offset, table)`
+/// pairs, with entries narrowed to `T` (lossless: the stage output fits).
+fn fused_boxes<T>(
+    tables: &[(u32, [u128; 16])],
+    in_width: u32,
+    entry: impl Fn(u128) -> T,
+) -> Vec<FusedBox<T>> {
+    tables
+        .iter()
+        .map(|&(off, lut)| {
+            let (word, shift) = if in_width > 64 {
+                (off / 32, off % 32)
+            } else {
+                (0, off)
+            };
+            FusedBox {
+                word: word as u8,
+                shift: shift as u8,
+                lut: lut.map(&entry),
+            }
+        })
+        .collect()
+}
+
+/// A [`Circuit`] lowered to fused lookup tables — same outputs, built once,
 /// evaluated without interpretation overhead.
 ///
 /// ```
@@ -59,83 +124,62 @@ enum CompiledLayer {
 pub struct CompiledCircuit {
     input_mask: u128,
     output_bits: u32,
-    layers: Vec<CompiledLayer>,
-}
-
-/// Bytes needed to cover `width` bits.
-fn byte_count(width: u32) -> usize {
-    width.div_ceil(8) as usize
+    stages: Vec<Stage>,
 }
 
 impl CompiledCircuit {
-    /// Lowers `circuit` into lookup tables. The result evaluates
+    /// Lowers `circuit` into fused stages. The result evaluates
     /// bit-identically to [`Circuit::eval`].
     pub fn new(circuit: &Circuit) -> Self {
         let mut width = circuit.input_bits();
-        let mut layers = Vec::with_capacity(circuit.layers().len());
-        for layer in circuit.layers() {
-            match layer {
+        let mut layers = circuit.layers();
+        let mut stages = Vec::new();
+        while let Some(first) = layers.first() {
+            // `(offset, width, S-box)` per box; `None` is the identity.
+            let boxes: Vec<_> = match first {
                 Layer::Substitute(boxes) => {
-                    let compiled = boxes
+                    layers = &layers[1..];
+                    boxes
                         .iter()
-                        .map(|&(off, kind)| {
-                            let w = kind.width();
-                            let mask = ((1u16 << w) - 1) as u8;
-                            let mut lut = [0u128; 16];
-                            for (v, slot) in lut.iter_mut().enumerate().take(1 << w) {
-                                *slot = (kind.apply(v as u8) as u128) << off;
-                            }
-                            SubBox { off, mask, lut }
-                        })
-                        .collect();
-                    layers.push(CompiledLayer::Substitute(compiled));
+                        .map(|&(off, kind)| (off, kind.width(), Some(kind)))
+                        .collect()
                 }
-                Layer::Permute(perm) => {
-                    // dest[s] = output position of input bit s (bijection).
-                    let mut dest = vec![0u32; perm.len()];
-                    for (out, &src) in perm.iter().enumerate() {
-                        dest[src as usize] = out as u32;
-                    }
-                    let mut tables = vec![[0u128; 256]; byte_count(width)];
-                    for (byte, table) in tables.iter_mut().enumerate() {
-                        for (v, slot) in table.iter_mut().enumerate() {
-                            let mut y = 0u128;
-                            for b in 0..8u32 {
-                                let s = byte as u32 * 8 + b;
-                                if s < width && (v >> b) & 1 == 1 {
-                                    y |= 1u128 << dest[s as usize];
-                                }
-                            }
-                            *slot = y;
-                        }
-                    }
-                    layers.push(CompiledLayer::Scatter(tables));
-                }
-                Layer::Compress(masks) => {
-                    let mut tables = vec![[0u128; 256]; byte_count(width)];
-                    for (byte, table) in tables.iter_mut().enumerate() {
-                        for (v, slot) in table.iter_mut().enumerate() {
-                            let mut y = 0u128;
-                            for (i, &m) in masks.iter().enumerate() {
-                                let mbyte = (m >> (byte * 8)) as u8;
-                                y |= (((v as u8 & mbyte).count_ones() & 1) as u128) << i;
-                            }
-                            *slot = y;
-                        }
-                    }
-                    layers.push(CompiledLayer::Parity(tables));
-                    width = masks.len() as u32;
-                }
-            }
+                _ => (0..width)
+                    .step_by(4)
+                    .map(|off| (off, (width - off).min(4), None))
+                    .collect(),
+            };
+            let linear_len = layers
+                .iter()
+                .position(|l| matches!(l, Layer::Substitute(_)))
+                .unwrap_or(layers.len());
+            let (linear, rest) = layers.split_at(linear_len);
+            layers = rest;
+            let in_width = width;
+            width = linear.iter().fold(width, |w, l| l.output_width(w));
+            let tables: Vec<(u32, [u128; 16])> = boxes
+                .into_iter()
+                .map(|(off, w, kind)| {
+                    let lut = std::array::from_fn(|v| {
+                        let v = v as u8 & ((1u8 << w) - 1);
+                        let s = kind.map_or(v, |k| k.apply(v));
+                        linear.iter().fold((s as u128) << off, |y, l| l.apply(y))
+                    });
+                    (off, lut)
+                })
+                .collect();
+            stages.push(if in_width <= 64 {
+                Stage::Narrow(fused_boxes(&tables, in_width, |y| y as u64))
+            } else if width <= 64 {
+                Stage::Reduce(fused_boxes(&tables, in_width, |y| y as u64))
+            } else {
+                Stage::Wide(fused_boxes(&tables, in_width, |y| y))
+            });
         }
         CompiledCircuit {
-            input_mask: if circuit.input_bits() == 128 {
-                u128::MAX
-            } else {
-                (1u128 << circuit.input_bits()) - 1
-            },
+            input_mask: u128::MAX >> (128 - circuit.input_bits()),
             output_bits: circuit.output_bits(),
-            layers,
+            stages,
         }
     }
 
@@ -144,34 +188,28 @@ impl CompiledCircuit {
         self.output_bits
     }
 
+    /// Bytes of lookup tables the evaluation reads — the circuit's cache
+    /// footprint on the hot path.
+    pub fn table_bytes(&self) -> usize {
+        self.stages
+            .iter()
+            .map(|s| match s {
+                Stage::Narrow(b) | Stage::Reduce(b) => b.len() * size_of::<[u64; 16]>(),
+                Stage::Wide(b) => b.len() * size_of::<[u128; 16]>(),
+            })
+            .sum()
+    }
+
     /// Evaluates the compiled circuit on `input` (low input bits used) —
     /// bit-identical to the source [`Circuit::eval`], allocation-free.
     #[inline]
     pub fn eval(&self, input: u128) -> u64 {
         let mut x = input & self.input_mask;
-        for layer in &self.layers {
-            x = match layer {
-                CompiledLayer::Substitute(boxes) => {
-                    let mut y = 0u128;
-                    for b in boxes {
-                        y |= b.lut[((x >> b.off) as u8 & b.mask) as usize];
-                    }
-                    y
-                }
-                CompiledLayer::Scatter(tables) => {
-                    let mut y = 0u128;
-                    for (i, table) in tables.iter().enumerate() {
-                        y |= table[((x >> (i * 8)) & 0xff) as usize];
-                    }
-                    y
-                }
-                CompiledLayer::Parity(tables) => {
-                    let mut y = 0u128;
-                    for (i, table) in tables.iter().enumerate() {
-                        y ^= table[((x >> (i * 8)) & 0xff) as usize];
-                    }
-                    y
-                }
+        for stage in &self.stages {
+            x = match stage {
+                Stage::Narrow(boxes) => u128::from(lookup_narrow(boxes, x as u64)),
+                Stage::Reduce(boxes) => u128::from(lookup_wide(boxes, x)),
+                Stage::Wide(boxes) => lookup_wide(boxes, x),
             };
         }
         x as u64
@@ -240,7 +278,7 @@ mod tests {
     #[test]
     fn boundary_straddling_boxes_compile_correctly() {
         // A 3-bit S-box straddling the byte boundary at offset 6 exercises
-        // the pre-shifted LUT path where (x >> off) spans two bytes.
+        // a box whose index spans two bytes of the state.
         let c = Circuit::new(
             11,
             vec![Layer::Substitute(vec![
@@ -268,5 +306,17 @@ mod tests {
         )
         .unwrap();
         agree_on_samples(&c);
+    }
+
+    #[test]
+    fn canonical_tables_fit_the_cache_budget() {
+        // The six circuits the simulator evaluates per branch must stay
+        // small enough to share L1/L2 with the predictor tables.
+        let total: usize = crate::RemapSet::standard()
+            .circuits()
+            .iter()
+            .map(|(_, c)| CompiledCircuit::new(c).table_bytes())
+            .sum();
+        assert!(total <= 32 * 1024, "remap tables take {total} bytes");
     }
 }

@@ -25,9 +25,10 @@
 //!   Section V-B,
 //! * [`RemapSet`] — canonical, deterministically generated instances of
 //!   R1..4, Rt and Rp matching the I/O geometry of Table II,
-//! * [`CompiledCircuit`] — circuits lowered once into flat byte-sliced
-//!   lookup tables, evaluated allocation-free on the simulator hot path
-//!   (bit-identical to the interpreted evaluation).
+//! * [`CompiledCircuit`] — circuits lowered once into fused S-box→linear
+//!   lookup tables (~28 KiB for all six canonical circuits), evaluated
+//!   allocation-free on the simulator hot path (bit-identical to the
+//!   interpreted evaluation).
 //!
 //! # Example
 //!

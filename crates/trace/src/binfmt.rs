@@ -63,10 +63,9 @@
 //! ```
 
 use crate::event::{Trace, TraceEvent};
-use crate::source::{EventSource, SourceError};
+use crate::source::{DecodeError, EventSource, SourceError};
 use stbpu_bpu::snap::{push_varint, unzigzag, zigzag, Format};
 use stbpu_bpu::{BranchKind, BranchRecord, EntityId, VirtAddr};
-use std::fmt;
 use std::io::{Read, Write};
 
 /// The four-byte file magic leading every `.stbt` file.
@@ -108,59 +107,13 @@ const MODE_KERNEL: u8 = 1 << 2;
 /// Instruction length implied when the `BR_ILEN` bit is clear.
 const DEFAULT_ILEN: u8 = 4;
 
-/// Error decoding a binary trace: carries the absolute byte offset and the
-/// 1-based index of the record being decoded (0 for header errors), so a
-/// corrupt capture points at the damage instead of a generic failure —
-/// the binary counterpart of `ParseTraceError`'s line numbers.
-#[derive(Debug)]
-pub struct BinTraceError {
-    offset: u64,
-    record: u64,
-    msg: String,
-}
+/// Error decoding a `.stbt` trace, positioned at the byte offset and
+/// record it failed on (see [`DecodeError`]).
+pub type BinTraceError = DecodeError;
 
-impl BinTraceError {
-    /// Absolute byte offset the failing header field or record starts at.
-    pub fn offset(&self) -> u64 {
-        self.offset
-    }
-
-    /// 1-based index of the record being decoded; 0 while parsing the
-    /// header.
-    pub fn record(&self) -> u64 {
-        self.record
-    }
-
-    /// The reason, without the position prefix.
-    pub fn message(&self) -> &str {
-        &self.msg
-    }
-}
-
-impl fmt::Display for BinTraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.record == 0 {
-            write!(
-                f,
-                "binary trace header error at byte {}: {}",
-                self.offset, self.msg
-            )
-        } else {
-            write!(
-                f,
-                "binary trace error at byte {} (record {}): {}",
-                self.offset, self.record, self.msg
-            )
-        }
-    }
-}
-
-impl std::error::Error for BinTraceError {}
-
-impl From<BinTraceError> for SourceError {
-    fn from(e: BinTraceError) -> Self {
-        SourceError(e.to_string())
-    }
+/// A positioned `.stbt` decode error.
+fn error(offset: u64, record: u64, msg: String) -> BinTraceError {
+    DecodeError::new("binary", offset, record, msg)
 }
 
 /// Branch kind from its stable [`BranchKind::index`] value.
@@ -524,11 +477,7 @@ impl<R: Read> BinTraceReader<R> {
     /// Parses the leading header out of the freshly filled buffer (the
     /// buffer is larger than any legal header, so no refill is needed).
     fn parse_header(&mut self) -> Result<(), BinTraceError> {
-        let err = |offset: u64, msg: String| BinTraceError {
-            offset,
-            record: 0,
-            msg,
-        };
+        let err = |offset: u64, msg: String| error(offset, 0, msg);
         let head = &self.buf[..self.filled];
         let flags = STBT
             .check_header(head)
@@ -579,14 +528,13 @@ impl<R: Read> BinTraceReader<R> {
         self.filled -= self.pos;
         self.pos = 0;
         while self.filled < self.buf.len() && !self.eof {
-            let n = self
-                .r
-                .read(&mut self.buf[self.filled..])
-                .map_err(|e| BinTraceError {
-                    offset: self.base + self.filled as u64,
-                    record: self.records + 1,
-                    msg: format!("I/O error: {e}"),
-                })?;
+            let n = self.r.read(&mut self.buf[self.filled..]).map_err(|e| {
+                error(
+                    self.base + self.filled as u64,
+                    self.records + 1,
+                    format!("I/O error: {e}"),
+                )
+            })?;
             if n == 0 {
                 self.eof = true;
             }
@@ -598,11 +546,7 @@ impl<R: Read> BinTraceReader<R> {
     /// Builds the positioned error for a failed decode at buffer index
     /// `start`.
     fn record_error(&self, start: usize, msg: String) -> BinTraceError {
-        BinTraceError {
-            offset: self.base + start as u64,
-            record: self.records + 1,
-            msg,
-        }
+        error(self.base + start as u64, self.records + 1, msg)
     }
 
     /// Decodes one record of the trailing (post-EOF) bytes, which may be
@@ -783,20 +727,16 @@ impl RecordDecoder {
     }
 
     fn record_error(&self, at: usize, msg: String) -> BinTraceError {
-        BinTraceError {
-            offset: self.base + at as u64,
-            record: self.records + 1,
-            msg,
-        }
+        error(self.base + at as u64, self.records + 1, msg)
     }
 
     fn check_poison(&self) -> Result<(), BinTraceError> {
         if self.poisoned {
-            return Err(BinTraceError {
-                offset: self.base,
-                record: self.records + 1,
-                msg: "decoder poisoned by an earlier error".to_string(),
-            });
+            return Err(error(
+                self.base,
+                self.records + 1,
+                "decoder poisoned by an earlier error".to_string(),
+            ));
         }
         Ok(())
     }
@@ -1201,15 +1141,20 @@ mod tests {
                 }
                 Ok(out)
             };
-            let from_file: Outcome =
-                read().map_err(|e| (e.offset() - header as u64, e.record(), e.msg));
+            let from_file: Outcome = read().map_err(|e| {
+                (
+                    e.offset() - header as u64,
+                    e.record(),
+                    e.message().to_string(),
+                )
+            });
             let mut dec = RecordDecoder::new();
             let mut out = Vec::new();
             let from_stream: Outcome = dec
                 .feed(&records[..cut], &mut out)
                 .and_then(|()| dec.finish(&mut out))
                 .map(|()| out)
-                .map_err(|e| (e.offset(), e.record(), e.msg));
+                .map_err(|e| (e.offset(), e.record(), e.message().to_string()));
             assert_eq!(from_file, from_stream, "cut at record byte {cut}");
         }
     }

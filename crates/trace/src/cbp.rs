@@ -72,10 +72,9 @@
 )]
 
 use crate::event::{Trace, TraceEvent};
-use crate::source::{EventSource, SourceError};
+use crate::source::{DecodeError, EventSource, SourceError};
 use stbpu_bpu::snap::Format;
 use stbpu_bpu::{BranchKind, BranchRecord, VirtAddr, VA_BITS, VA_MASK};
-use std::fmt;
 use std::io::{Read, Write};
 
 /// The four-byte file magic leading every `.cbp` file.
@@ -115,58 +114,13 @@ const TY_CALL: u8 = 3;
 const TY_IND_CALL: u8 = 4;
 const TY_RET: u8 = 5;
 
-/// Error decoding a `.cbp` trace: carries the absolute byte offset and
-/// the 1-based index of the record being decoded (0 for header errors) —
-/// the `.cbp` counterpart of [`crate::binfmt::BinTraceError`].
-#[derive(Debug)]
-pub struct CbpError {
-    offset: u64,
-    record: u64,
-    msg: String,
-}
+/// Error decoding a `.cbp` trace, positioned at the byte offset and
+/// record it failed on (see [`DecodeError`]).
+pub type CbpError = DecodeError;
 
-impl CbpError {
-    /// Absolute byte offset the failing header field or record starts at.
-    pub fn offset(&self) -> u64 {
-        self.offset
-    }
-
-    /// 1-based index of the record being decoded; 0 while parsing the
-    /// header.
-    pub fn record(&self) -> u64 {
-        self.record
-    }
-
-    /// The reason, without the position prefix.
-    pub fn message(&self) -> &str {
-        &self.msg
-    }
-}
-
-impl fmt::Display for CbpError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.record == 0 {
-            write!(
-                f,
-                "cbp trace header error at byte {}: {}",
-                self.offset, self.msg
-            )
-        } else {
-            write!(
-                f,
-                "cbp trace error at byte {} (record {}): {}",
-                self.offset, self.record, self.msg
-            )
-        }
-    }
-}
-
-impl std::error::Error for CbpError {}
-
-impl From<CbpError> for SourceError {
-    fn from(e: CbpError) -> Self {
-        SourceError(e.to_string())
-    }
+/// A positioned `.cbp` decode error.
+fn error(offset: u64, record: u64, msg: String) -> CbpError {
+    DecodeError::new("cbp", offset, record, msg)
 }
 
 /// Little-endian u64 from the first eight bytes of `b` (shorter slices
@@ -314,11 +268,7 @@ impl<R: Read> CbpReader<R> {
     /// buffer is far larger than the fixed header, so no refill is
     /// needed).
     fn parse_header(&mut self) -> Result<(), CbpError> {
-        let err = |offset: u64, msg: String| CbpError {
-            offset,
-            record: 0,
-            msg,
-        };
+        let err = |offset: u64, msg: String| error(offset, 0, msg);
         let head = self.buf.get(..self.filled).unwrap_or_default();
         let flags = CBPT
             .check_header(head)
@@ -355,10 +305,12 @@ impl<R: Read> CbpReader<R> {
                 reason = "the loop condition checks filled < buf.len()"
             )]
             let free = &mut self.buf[self.filled..];
-            let n = self.r.read(free).map_err(|e| CbpError {
-                offset: self.base + self.filled as u64,
-                record: self.records + 1,
-                msg: format!("I/O error: {e}"),
+            let n = self.r.read(free).map_err(|e| {
+                error(
+                    self.base + self.filled as u64,
+                    self.records + 1,
+                    format!("I/O error: {e}"),
+                )
             })?;
             if n == 0 {
                 self.eof = true;
@@ -371,11 +323,7 @@ impl<R: Read> CbpReader<R> {
     /// Builds the positioned error for a failed decode at buffer index
     /// `start`.
     fn record_error(&self, start: usize, msg: String) -> CbpError {
-        CbpError {
-            offset: self.base + start as u64,
-            record: self.records + 1,
-            msg,
-        }
+        error(self.base + start as u64, self.records + 1, msg)
     }
 
     /// Pulls the next event (typed error, used by [`read_cbp_trace`]).

@@ -10,7 +10,6 @@ use crate::source::{EventSource, SourceError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stbpu_bpu::EntityId;
-use std::collections::VecDeque;
 
 /// Kernel image base (inside the canonical 48-bit space).
 const KERNEL_BASE: u64 = 0xffff_8000_0000;
@@ -46,6 +45,11 @@ pub struct TraceGenerator {
     kernel_walkers: Vec<Walker>,
     /// Current process (index into `programs`) per thread.
     current: [usize; 2],
+    /// Logical threads the trace occupies (see [`TraceGenerator::threads`]).
+    threads: usize,
+    /// Cumulative per-step probabilities of a context switch, a syscall
+    /// and an interrupt: a roll below `cuts[0]` switches, and so on.
+    cuts: [f64; 3],
 }
 
 /// Cursor state of one in-progress trace emission (shared by the
@@ -120,14 +124,19 @@ impl TraceGenerator {
         let kernel_walkers = (0..2)
             .map(|i| Walker::new(&kernel_prog, 10, 0.04, seed ^ 0xbeef ^ i))
             .collect();
+        let p_ctx = profile.ctx_switches_per_1k / 1000.0;
+        let p_sys = profile.syscalls_per_1k / 1000.0;
+        let p_irq = profile.interrupts_per_1k / 1000.0;
         TraceGenerator {
             profile: *profile,
             rng,
+            threads: profile.threads.clamp(1, 2).min(programs.len()),
             programs,
             walkers,
             kernel_prog,
             kernel_walkers,
             current: [0, 0],
+            cuts: [p_ctx, p_ctx + p_sys, p_ctx + p_sys + p_irq],
         }
     }
 
@@ -140,7 +149,7 @@ impl TraceGenerator {
     /// threads than it has processes (each walker is owned by one thread,
     /// keeping per-thread call/return streams well nested).
     pub fn threads(&self) -> usize {
-        self.profile.threads.clamp(1, 2).min(self.programs.len())
+        self.threads
     }
 
     fn sample_gap(rng: &mut StdRng, mean: f64) -> u16 {
@@ -166,16 +175,17 @@ impl TraceGenerator {
     }
 
     /// Advances the emission by one slice (the stream prologue or one
-    /// user-branch / kernel-excursion step), appending events to `out`.
-    /// Returns `false` once the branch budget is exhausted. Overshoot from
-    /// the final kernel excursion is trimmed inside the slice, so the
-    /// cumulative branch count lands exactly on the budget.
+    /// user-branch / kernel-excursion step), appending events to `out`
+    /// after whatever it already holds. Returns `false` once the branch
+    /// budget is exhausted. Overshoot from the final kernel excursion is
+    /// trimmed inside the slice, so the cumulative branch count lands
+    /// exactly on the budget.
     fn step(&mut self, plan: &mut StreamPlan, out: &mut Vec<TraceEvent>) -> bool {
         if !plan.started {
             plan.started = true;
             // Announce the initial process on each thread (processes are
             // partitioned across threads by index parity).
-            let threads = self.threads();
+            let threads = self.threads;
             let nproc = self.programs.len();
             for t in 0..threads {
                 let first = (0..nproc).find(|p| p % threads == t).unwrap_or(0);
@@ -191,11 +201,8 @@ impl TraceGenerator {
             return false;
         }
 
-        let threads = self.threads();
+        let threads = self.threads;
         let nproc = self.programs.len();
-        let p_sys = self.profile.syscalls_per_1k / 1000.0;
-        let p_ctx = self.profile.ctx_switches_per_1k / 1000.0;
-        let p_irq = self.profile.interrupts_per_1k / 1000.0;
 
         // Thread time-slicing for two-thread traces.
         plan.chunk += 1;
@@ -205,7 +212,7 @@ impl TraceGenerator {
         let tid = plan.tid;
 
         let roll: f64 = self.rng.gen();
-        if roll < p_ctx && nproc > 1 {
+        if roll < self.cuts[0] && nproc > 1 {
             // Scheduler: kernel entry, scheduler body, switch, exit.
             out.push(TraceEvent::ModeSwitch {
                 tid: tid as u8,
@@ -232,7 +239,7 @@ impl TraceGenerator {
                 tid: tid as u8,
                 kernel: false,
             });
-        } else if roll < p_ctx + p_sys {
+        } else if roll < self.cuts[1] {
             out.push(TraceEvent::ModeSwitch {
                 tid: tid as u8,
                 kernel: true,
@@ -244,7 +251,7 @@ impl TraceGenerator {
                 tid: tid as u8,
                 kernel: false,
             });
-        } else if roll < p_ctx + p_sys + p_irq {
+        } else if roll < self.cuts[2] {
             out.push(TraceEvent::Interrupt { tid: tid as u8 });
             out.push(TraceEvent::ModeSwitch {
                 tid: tid as u8,
@@ -302,34 +309,24 @@ impl TraceGenerator {
         GeneratorSource {
             gen: self,
             plan: StreamPlan::new(branches),
-            buf: VecDeque::new(),
+            spill: Vec::new(),
+            next: 0,
         }
     }
 }
 
 /// Streaming [`EventSource`] over a [`TraceGenerator`] (see
-/// [`TraceGenerator::into_source`]). Holds at most one emission slice
-/// (≤ ~100 events) of look-ahead regardless of run length.
+/// [`TraceGenerator::into_source`]). Batches are stepped straight into the
+/// caller's buffer; only the overshoot of a batch's last slice (≤ ~100
+/// events) is held back, regardless of run length.
 pub struct GeneratorSource {
     gen: TraceGenerator,
     plan: StreamPlan,
-    /// Pending events of the current slice, drained front to back. The
-    /// capacity is reused across slices — the hot path allocates nothing.
-    buf: VecDeque<TraceEvent>,
-}
-
-impl GeneratorSource {
-    /// Refills `buf` with the next slice; false at end of stream.
-    fn refill(&mut self) -> bool {
-        debug_assert!(self.buf.is_empty());
-        // step() wants a Vec (it trims overshoot by position); borrow the
-        // deque's storage as that Vec so its capacity is reused.
-        let mut slice = Vec::from(std::mem::take(&mut self.buf));
-        slice.clear();
-        let more = self.gen.step(&mut self.plan, &mut slice);
-        self.buf = VecDeque::from(slice);
-        more
-    }
+    /// Stepped events not yet handed out, served from `spill[next..]`
+    /// before the generator steps again. The capacity is reused — the hot
+    /// path allocates nothing.
+    spill: Vec<TraceEvent>,
+    next: usize,
 }
 
 impl EventSource for GeneratorSource {
@@ -346,22 +343,29 @@ impl EventSource for GeneratorSource {
     }
 
     fn next_event(&mut self) -> Result<Option<TraceEvent>, SourceError> {
-        while self.buf.is_empty() {
-            if !self.refill() {
+        while self.next == self.spill.len() {
+            self.spill.clear();
+            self.next = 0;
+            if !self.gen.step(&mut self.plan, &mut self.spill) {
                 return Ok(None);
             }
         }
-        Ok(self.buf.pop_front())
+        self.next += 1;
+        Ok(Some(self.spill[self.next - 1]))
     }
 
     fn next_batch(&mut self, buf: &mut Vec<TraceEvent>, max: usize) -> Result<usize, SourceError> {
         buf.clear();
-        while buf.len() < max {
-            if self.buf.is_empty() && !self.refill() {
-                break;
-            }
-            let take = (max - buf.len()).min(self.buf.len());
-            buf.extend(self.buf.drain(..take));
+        let pending = &self.spill[self.next..];
+        let take = pending.len().min(max);
+        buf.extend_from_slice(&pending[..take]);
+        self.next += take;
+        // Stepping only starts once the spill is drained.
+        while buf.len() < max && self.gen.step(&mut self.plan, buf) {}
+        if buf.len() > max {
+            self.spill.clear();
+            self.spill.extend(buf.drain(max..));
+            self.next = 0;
         }
         Ok(buf.len())
     }
@@ -482,23 +486,71 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_pulls_bit_identical_to_generate() {
-        let p = profiles::by_name("apache2_prefork_c128").unwrap();
-        let materialized = TraceGenerator::new(p, 13).generate(3_000);
-        let mut src = TraceGenerator::new(p, 13).into_source(3_000);
+    /// A budget that ends halfway through the first kernel excursion after
+    /// `after` branches, so the final slice trims its overshoot.
+    fn budget_inside_excursion(p: &WorkloadProfile, seed: u64, after: usize) -> usize {
+        let long = TraceGenerator::new(p, seed).generate(after + 20_000);
+        let mut branches = 0;
+        let mut entry = None;
+        for e in long.events() {
+            match e {
+                TraceEvent::ModeSwitch { kernel: true, .. } if branches >= after => {
+                    entry = Some(branches);
+                }
+                TraceEvent::ModeSwitch { kernel: false, .. } if entry.is_some() => break,
+                TraceEvent::Branch { .. } => branches += 1,
+                _ => {}
+            }
+        }
+        let entry = entry.expect("the trace enters the kernel");
+        let budget = entry + (branches - entry) / 2;
+        let trimmed = TraceGenerator::new(p, seed).generate(budget);
+        assert!(
+            !long.events().starts_with(trimmed.events()),
+            "budget {budget} must cut an excursion short"
+        );
+        budget
+    }
+
+    /// Concatenates `next_batch(max)` pulls until the stream ends; with
+    /// `interleave`, one `next_event` pull precedes every batch.
+    fn pull_all(src: &mut GeneratorSource, max: usize, interleave: bool) -> Vec<TraceEvent> {
         let mut buf = Vec::new();
         let mut got = Vec::new();
         loop {
-            // A batch size larger than one generator slice, not dividing it.
-            let n = src.next_batch(&mut buf, 301).unwrap();
-            if n == 0 {
+            if interleave {
+                got.extend(src.next_event().unwrap());
+            }
+            if src.next_batch(&mut buf, max).unwrap() == 0 {
                 break;
             }
+            assert!(buf.len() <= max);
             got.extend_from_slice(&buf);
         }
-        assert_eq!(got.as_slice(), materialized.events());
-        assert_eq!(src.next_batch(&mut buf, 301).unwrap(), 0);
+        assert_eq!(src.next_event().unwrap(), None, "exhausted stays exhausted");
+        assert_eq!(src.next_batch(&mut buf, max).unwrap(), 0);
+        got
+    }
+
+    #[test]
+    fn batched_pulls_bit_identical_to_generate() {
+        for name in ["505.mcf", "apache2_prefork_c128"] {
+            let p = profiles::by_name(name).unwrap();
+            for budget in [3_000, budget_inside_excursion(p, 13, 2_000)] {
+                let want = TraceGenerator::new(p, 13).generate(budget);
+                // 301: larger than one generator slice, not dividing it.
+                for max in [1, 2, 31, 97, 301, 4096] {
+                    for interleave in [false, true] {
+                        let mut src = TraceGenerator::new(p, 13).into_source(budget);
+                        assert_eq!(
+                            pull_all(&mut src, max, interleave),
+                            want.events(),
+                            "{name} budget {budget} max {max} interleave {interleave}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

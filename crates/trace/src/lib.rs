@@ -71,4 +71,4 @@ pub use file::{
 };
 pub use generator::{GeneratorSource, TraceGenerator};
 pub use profiles::{WorkloadClass, WorkloadProfile};
-pub use source::{EventSource, SourceError, TraceSource};
+pub use source::{DecodeError, EventSource, SourceError, TraceSource};

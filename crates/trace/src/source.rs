@@ -35,6 +35,74 @@
 use crate::event::{Trace, TraceEvent};
 use std::fmt;
 
+/// Error decoding a binary trace (`.stbt` or `.cbp`): carries the format,
+/// the absolute byte offset and the 1-based index of the record being
+/// decoded (0 for header errors), so a corrupt capture points at the
+/// damage instead of a generic failure — the binary counterpart of
+/// `ParseTraceError`'s line numbers. Each format names it in its own
+/// module: [`crate::binfmt::BinTraceError`] and [`crate::CbpError`].
+#[derive(Debug)]
+pub struct DecodeError {
+    /// Format label leading the message (`binary`, `cbp`).
+    format: &'static str,
+    offset: u64,
+    record: u64,
+    msg: String,
+}
+
+impl DecodeError {
+    pub(crate) fn new(format: &'static str, offset: u64, record: u64, msg: String) -> Self {
+        DecodeError {
+            format,
+            offset,
+            record,
+            msg,
+        }
+    }
+
+    /// Absolute byte offset the failing header field or record starts at.
+    pub fn offset(&self) -> u64 {
+        self.offset
+    }
+
+    /// 1-based index of the record being decoded; 0 while parsing the
+    /// header.
+    pub fn record(&self) -> u64 {
+        self.record
+    }
+
+    /// The reason, without the position prefix.
+    pub fn message(&self) -> &str {
+        &self.msg
+    }
+}
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.record == 0 {
+            write!(
+                f,
+                "{} trace header error at byte {}: {}",
+                self.format, self.offset, self.msg
+            )
+        } else {
+            write!(
+                f,
+                "{} trace error at byte {} (record {}): {}",
+                self.format, self.offset, self.record, self.msg
+            )
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+impl From<DecodeError> for SourceError {
+    fn from(e: DecodeError) -> Self {
+        SourceError(e.to_string())
+    }
+}
+
 /// Error produced while pulling events out of a source (I/O failures,
 /// malformed serialized records, a failing custom source, …).
 #[derive(Clone, Debug, PartialEq, Eq)]
