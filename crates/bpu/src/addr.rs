@@ -22,28 +22,33 @@ pub struct VirtAddr(u64);
 
 impl VirtAddr {
     /// Creates a virtual address, truncating to the implemented 48 bits.
+    #[inline]
     pub fn new(raw: u64) -> Self {
         VirtAddr(raw & VA_MASK)
     }
 
     /// Returns the raw 48-bit value.
+    #[inline]
     pub fn raw(self) -> u64 {
         self.0
     }
 
     /// Returns the 32 least-significant bits — what the baseline BPU stores
     /// for branch targets (function ⑤ re-extends them on prediction).
+    #[inline]
     pub fn low32(self) -> u32 {
         self.0 as u32
     }
 
     /// Returns the 16 most-significant implemented bits (bits 32..48).
+    #[inline]
     pub fn high16(self) -> u16 {
         (self.0 >> 32) as u16
     }
 
     /// Reconstructs a 48-bit address from a stored 32-bit target and the
     /// high bits of a reference address (baseline function ⑤ of Figure 1).
+    #[inline]
     pub fn extend(reference: VirtAddr, low32: u32) -> VirtAddr {
         VirtAddr(((reference.high16() as u64) << 32) | low32 as u64)
     }

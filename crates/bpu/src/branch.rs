@@ -33,22 +33,26 @@ impl BranchKind {
 
     /// True for conditional branches — the only kind needing a direction
     /// prediction.
+    #[inline]
     pub fn is_conditional(self) -> bool {
         matches!(self, BranchKind::Conditional)
     }
 
     /// True for calls (direct or indirect) — they push onto the RSB.
+    #[inline]
     pub fn is_call(self) -> bool {
         matches!(self, BranchKind::DirectCall | BranchKind::IndirectCall)
     }
 
     /// True for returns — they pop the RSB.
+    #[inline]
     pub fn is_return(self) -> bool {
         matches!(self, BranchKind::Return)
     }
 
     /// True for indirect control transfers (including returns), which use
     /// the BTB's BHB-based addressing mode two.
+    #[inline]
     pub fn is_indirect(self) -> bool {
         matches!(
             self,
@@ -57,6 +61,7 @@ impl BranchKind {
     }
 
     /// A stable small index for table lookups.
+    #[inline]
     pub fn index(self) -> usize {
         match self {
             BranchKind::DirectJump => 0,
@@ -156,6 +161,7 @@ impl BranchRecord {
 
     /// The address of the instruction following this branch — what a call
     /// pushes onto the RSB and a not-taken branch falls through to.
+    #[inline]
     pub fn fallthrough(&self) -> VirtAddr {
         VirtAddr::new(self.pc.raw() + self.ilen as u64)
     }

@@ -6,6 +6,14 @@
 //! in the baseline; a φ-encrypted value under STBPU; the full 48-bit target
 //! in the "conservative" model). Replacement is true-LRU within a set.
 //!
+//! Validity lives outside the entries, in one way-mask word per set (bit
+//! `w` set = way `w` is live; hence at most 64 ways). A lookup only
+//! compares live ways, a fill takes the lowest clear bit, and a flush
+//! clears the mask words — one word per set instead of a store into every
+//! entry. A flushed entry keeps its stale tag, payload and LRU stamp in the
+//! arrays (and in checkpoints), as in hardware, where a flush clears valid
+//! bits only.
+//!
 //! Evictions are reported to the caller because STBPU's monitoring MSRs
 //! count them (Section IV-B) and eviction-based attacks are measured by
 //! them (Table I, Section VI).
@@ -53,7 +61,6 @@ pub struct Eviction {
 
 #[derive(Clone, Copy, Debug, Default)]
 struct Entry {
-    valid: bool,
     tag: u64,
     offset: u8,
     payload: u64,
@@ -73,6 +80,8 @@ struct Entry {
 pub struct Btb {
     cfg: BtbConfig,
     entries: Vec<Entry>,
+    /// One word per set; bit `w` set means way `w` holds a live entry.
+    valid: Vec<u64>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -84,16 +93,18 @@ impl Btb {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` is not a power of two or `ways` is zero.
+    /// Panics if `sets` is not a power of two or `ways` is not in `1..=64`.
     pub fn new(cfg: BtbConfig) -> Self {
         assert!(
             cfg.sets.is_power_of_two(),
             "BTB sets must be a power of two"
         );
         assert!(cfg.ways > 0, "BTB must have at least one way");
+        assert!(cfg.ways <= 64, "BTB ways must fit the 64-bit valid mask");
         Btb {
             cfg,
             entries: vec![Entry::default(); cfg.entries()],
+            valid: vec![0; cfg.sets],
             clock: 0,
             hits: 0,
             misses: 0,
@@ -106,9 +117,20 @@ impl Btb {
         self.cfg
     }
 
-    fn set_slice(&mut self, set: usize) -> &mut [Entry] {
-        let w = self.cfg.ways;
-        &mut self.entries[set * w..(set + 1) * w]
+    /// The live way holding `(tag, offset)` in `set`, lowest way first.
+    #[inline]
+    fn find(&self, set: usize, tag: u64, offset: u8) -> Option<usize> {
+        let base = set * self.cfg.ways;
+        let mut live = self.valid[set];
+        while live != 0 {
+            let i = base + live.trailing_zeros() as usize;
+            let e = &self.entries[i];
+            if e.tag == tag && e.offset == offset {
+                return Some(i);
+            }
+            live &= live - 1;
+        }
+        None
     }
 
     /// Looks up `(set, tag, offset)`; returns the stored payload on a hit
@@ -117,31 +139,29 @@ impl Btb {
     /// # Panics
     ///
     /// Panics if `set` is out of range.
+    #[inline]
     pub fn lookup(&mut self, set: usize, tag: u64, offset: u8) -> Option<u64> {
         assert!(set < self.cfg.sets, "BTB set index out of range");
         self.clock += 1;
-        let clock = self.clock;
-        for e in self.set_slice(set) {
-            if e.valid && e.tag == tag && e.offset == offset {
-                e.lru = clock;
-                let p = e.payload;
+        match self.find(set, tag, offset) {
+            Some(i) => {
+                let e = &mut self.entries[i];
+                e.lru = self.clock;
                 self.hits += 1;
-                return Some(p);
+                Some(e.payload)
+            }
+            None => {
+                self.misses += 1;
+                None
             }
         }
-        self.misses += 1;
-        None
     }
 
     /// Checks for presence without perturbing LRU or hit/miss statistics —
     /// used by attack harnesses that model an attacker timing a *separate*
     /// probe branch.
     pub fn probe(&self, set: usize, tag: u64, offset: u8) -> Option<u64> {
-        let w = self.cfg.ways;
-        self.entries[set * w..(set + 1) * w]
-            .iter()
-            .find(|e| e.valid && e.tag == tag && e.offset == offset)
-            .map(|e| e.payload)
+        self.find(set, tag, offset).map(|i| self.entries[i].payload)
     }
 
     /// Inserts or updates `(set, tag, offset) -> payload`.
@@ -152,34 +172,36 @@ impl Btb {
     /// # Panics
     ///
     /// Panics if `set` is out of range.
+    #[inline]
     pub fn insert(&mut self, set: usize, tag: u64, offset: u8, payload: u64) -> Option<Eviction> {
         assert!(set < self.cfg.sets, "BTB set index out of range");
         self.clock += 1;
         let clock = self.clock;
         // Update in place on tag+offset match.
-        for e in self.set_slice(set) {
-            if e.valid && e.tag == tag && e.offset == offset {
-                e.payload = payload;
-                e.lru = clock;
-                return None;
-            }
+        if let Some(i) = self.find(set, tag, offset) {
+            let e = &mut self.entries[i];
+            e.payload = payload;
+            e.lru = clock;
+            return None;
         }
-        // Fill an invalid way if one exists.
-        for e in self.set_slice(set) {
-            if !e.valid {
-                *e = Entry {
-                    valid: true,
-                    tag,
-                    offset,
-                    payload,
-                    lru: clock,
-                };
-                return None;
-            }
+        let ways = self.cfg.ways;
+        let base = set * ways;
+        let fresh = Entry {
+            tag,
+            offset,
+            payload,
+            lru: clock,
+        };
+        // Fill the lowest invalid way if one exists.
+        let free = !self.valid[set] & way_mask(ways);
+        if free != 0 {
+            let w = free.trailing_zeros() as usize;
+            self.entries[base + w] = fresh;
+            self.valid[set] |= 1 << w;
+            return None;
         }
-        // Evict the LRU way.
-        let victim = self
-            .set_slice(set)
+        // Evict the LRU way (the lowest way among equal stamps).
+        let victim = self.entries[base..base + ways]
             .iter_mut()
             .min_by_key(|e| e.lru)
             .expect("ways > 0");
@@ -188,22 +210,15 @@ impl Btb {
             tag: victim.tag,
             payload: victim.payload,
         };
-        *victim = Entry {
-            valid: true,
-            tag,
-            offset,
-            payload,
-            lru: clock,
-        };
+        *victim = fresh;
         self.evictions += 1;
         Some(ev)
     }
 
-    /// Invalidates every entry (IBPB-style flush).
+    /// Invalidates every entry (IBPB-style flush): clears one mask word
+    /// per set and leaves the entry arrays untouched.
     pub fn flush(&mut self) {
-        for e in &mut self.entries {
-            e.valid = false;
-        }
+        self.valid.fill(0);
     }
 
     /// Invalidates the half of the index space *not* owned by `tid` — the
@@ -211,17 +226,12 @@ impl Btb {
     /// sets; flipping the partition on a thread switch is modelled by the
     /// caller remapping set indexes (see `partition_set`).
     pub fn flush_partition(&mut self, sets: std::ops::Range<usize>) {
-        let w = self.cfg.ways;
-        for set in sets {
-            for e in &mut self.entries[set * w..(set + 1) * w] {
-                e.valid = false;
-            }
-        }
+        self.valid[sets].fill(0);
     }
 
     /// Number of live entries (test/diagnostic helper).
     pub fn occupancy(&self) -> usize {
-        self.entries.iter().filter(|e| e.valid).count()
+        self.valid.iter().map(|m| m.count_ones() as usize).sum()
     }
 
     /// Lookup hits so far.
@@ -240,7 +250,9 @@ impl Btb {
     }
 
     /// Serializes the complete BTB state (geometry guard, LRU clock,
-    /// statistics and every entry) for checkpointing.
+    /// statistics and every entry) for checkpointing. Each entry is
+    /// written with its valid bit, so invalidated entries keep their stale
+    /// fields on the wire.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.usize(self.cfg.sets);
         w.usize(self.cfg.ways);
@@ -248,8 +260,9 @@ impl Btb {
         w.u64(self.hits);
         w.u64(self.misses);
         w.u64(self.evictions);
-        for e in &self.entries {
-            w.bool(e.valid);
+        let ways = self.cfg.ways;
+        for (i, e) in self.entries.iter().enumerate() {
+            w.bool(self.valid[i / ways] >> (i % ways) & 1 != 0);
             w.u64(e.tag);
             w.u8(e.offset);
             w.u64(e.payload);
@@ -268,8 +281,11 @@ impl Btb {
         self.hits = r.u64()?;
         self.misses = r.u64()?;
         self.evictions = r.u64()?;
-        for e in &mut self.entries {
-            e.valid = r.bool()?;
+        self.valid.fill(0);
+        for (i, e) in self.entries.iter_mut().enumerate() {
+            if r.bool()? {
+                self.valid[i / ways] |= 1 << (i % ways);
+            }
             e.tag = r.u64()?;
             e.offset = r.u8()?;
             e.payload = r.u64()?;
@@ -279,15 +295,22 @@ impl Btb {
     }
 }
 
+/// The valid-mask bits of a set with `ways` ways.
+fn way_mask(ways: usize) -> u64 {
+    u64::MAX >> (64 - ways)
+}
+
 /// Restricts `set` to the partition owned by hardware thread `tid` when
 /// STIBP-style partitioning is enabled: each of the two logical threads gets
-/// half of the index space.
+/// half of the index space. `sets` is a power of two.
+#[inline]
 pub fn partition_set(set: usize, sets: usize, tid: usize, partitioned: bool) -> usize {
     if !partitioned {
         return set;
     }
+    debug_assert!(sets >= 2 && sets.is_power_of_two());
     let half = sets / 2;
-    (set % half) + tid * half
+    (set & (half - 1)) + tid * half
 }
 
 #[cfg(test)]

@@ -47,6 +47,7 @@ impl SaturatingCounter {
     }
 
     /// Current counter value.
+    #[inline]
     pub fn value(self) -> u8 {
         self.value
     }
@@ -57,6 +58,7 @@ impl SaturatingCounter {
     }
 
     /// True when the counter is in the taken half of its range.
+    #[inline]
     pub fn is_set(self) -> bool {
         self.value > self.max / 2
     }
@@ -67,6 +69,7 @@ impl SaturatingCounter {
     }
 
     /// Saturating increment.
+    #[inline]
     pub fn increment(&mut self) {
         if self.value < self.max {
             self.value += 1;
@@ -74,6 +77,7 @@ impl SaturatingCounter {
     }
 
     /// Saturating decrement.
+    #[inline]
     pub fn decrement(&mut self) {
         if self.value > 0 {
             self.value -= 1;
@@ -81,6 +85,7 @@ impl SaturatingCounter {
     }
 
     /// Trains toward `taken`.
+    #[inline]
     pub fn train(&mut self, taken: bool) {
         if taken {
             self.increment();

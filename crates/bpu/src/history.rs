@@ -53,16 +53,19 @@ impl HistoryCtx {
     /// Current GHR contents (up to 64 retained bits; mapping functions mask
     /// to the number of bits they consume). Bit 0 is the most recent
     /// outcome.
+    #[inline]
     pub fn ghr(&self) -> u64 {
         self.ghr
     }
 
     /// Current BHB contents, masked to [`BHB_BITS`].
+    #[inline]
     pub fn bhb(&self) -> u64 {
         self.bhb & ((1u64 << BHB_BITS) - 1)
     }
 
     /// Shifts one conditional-branch outcome into the GHR.
+    #[inline]
     pub fn push_outcome(&mut self, taken: bool) {
         self.ghr = (self.ghr << 1) | taken as u64;
     }
@@ -73,6 +76,7 @@ impl HistoryCtx {
     /// source address is folded by XOR and combined with low target bits,
     /// then shifted into the register: each taken branch displaces two bits
     /// of the oldest context.
+    #[inline]
     pub fn push_edge(&mut self, src: VirtAddr, dst: VirtAddr) {
         let fold = ((src.raw() >> 4) ^ (src.raw() >> 18) ^ (dst.raw() << 6)) & 0xffff;
         self.bhb = ((self.bhb << 2) ^ fold) & ((1u64 << BHB_BITS) - 1);

@@ -24,6 +24,7 @@ use crate::snap::{SnapError, StateReader, StateWriter};
 /// assert_eq!(fold_u64(0xff00_00ff, 8), 0x00);
 /// assert!(fold_u64(u64::MAX, 14) < (1 << 14));
 /// ```
+#[inline]
 pub fn fold_u64(mut value: u64, bits: u32) -> u64 {
     assert!((1..=63).contains(&bits), "fold width out of range");
     let mask = (1u64 << bits) - 1;
@@ -164,6 +165,7 @@ impl BaselineMapper {
 pub(crate) const BASELINE_ADDR_BITS: u32 = 30;
 
 impl Mapper for BaselineMapper {
+    #[inline]
     fn btb1(&self, _tid: usize, pc: u64) -> BtbCoord {
         let a = pc & ((1 << BASELINE_ADDR_BITS) - 1);
         BtbCoord {
@@ -174,10 +176,12 @@ impl Mapper for BaselineMapper {
         }
     }
 
+    #[inline]
     fn btb2_tag(&self, _tid: usize, bhb: u64) -> u64 {
         fold_u64(bhb, 8)
     }
 
+    #[inline]
     fn pht1(&self, _tid: usize, pc: u64) -> usize {
         let a = pc & ((1 << BASELINE_ADDR_BITS) - 1);
         // Shifted-copy XOR compression (single-cycle, like the real index
@@ -185,6 +189,7 @@ impl Mapper for BaselineMapper {
         (((a >> 2) ^ (a >> 9) ^ (a >> 17) ^ (a >> 25)) & 0x3fff) as usize
     }
 
+    #[inline]
     fn pht2(&self, _tid: usize, pc: u64, ghr: u64) -> usize {
         let a = pc & ((1 << BASELINE_ADDR_BITS) - 1);
         let g = ghr & 0x3ffff; // 18 GHR bits (Table II)
@@ -192,6 +197,7 @@ impl Mapper for BaselineMapper {
         ((addr ^ g ^ (g << 3)) & 0x3fff) as usize
     }
 
+    #[inline]
     fn tage(
         &self,
         _tid: usize,
@@ -212,6 +218,7 @@ impl Mapper for BaselineMapper {
         (idx as usize, tag)
     }
 
+    #[inline]
     fn perceptron(&self, _tid: usize, pc: u64, idx_bits: u32) -> usize {
         fold_u64(pc >> 2, idx_bits) as usize
     }
@@ -231,6 +238,7 @@ impl ConservativeMapper {
 }
 
 impl Mapper for ConservativeMapper {
+    #[inline]
     fn btb1(&self, _tid: usize, pc: u64) -> BtbCoord {
         BtbCoord {
             // 256 sets (halved capacity), full-address tag, no offset field.
@@ -240,20 +248,24 @@ impl Mapper for ConservativeMapper {
         }
     }
 
+    #[inline]
     fn btb2_tag(&self, _tid: usize, bhb: u64) -> u64 {
         // Full-width BHB tag: no aliasing between contexts.
         bhb
     }
 
+    #[inline]
     fn pht1(&self, _tid: usize, pc: u64) -> usize {
         fold_u64(pc >> 2, 14) as usize
     }
 
+    #[inline]
     fn pht2(&self, _tid: usize, pc: u64, ghr: u64) -> usize {
         let g = ghr & 0x3ffff;
         (fold_u64(pc >> 2, 14) ^ fold_u64(g ^ (g << 7), 14)) as usize
     }
 
+    #[inline]
     fn tage(
         &self,
         tid: usize,
@@ -267,6 +279,7 @@ impl Mapper for ConservativeMapper {
         BaselineMapper.tage(tid, pc, folded_idx, folded_tag, table, idx_bits, tag_bits)
     }
 
+    #[inline]
     fn perceptron(&self, _tid: usize, pc: u64, idx_bits: u32) -> usize {
         fold_u64(pc >> 2, idx_bits) as usize
     }

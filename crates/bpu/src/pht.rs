@@ -43,6 +43,7 @@ impl Pht {
     }
 
     /// Number of entries.
+    #[inline]
     pub fn len(&self) -> usize {
         self.table.len()
     }
@@ -58,6 +59,7 @@ impl Pht {
     ///
     /// Panics if `index` is out of bounds; mapping functions guarantee
     /// in-range indexes.
+    #[inline]
     pub fn predict(&self, index: usize) -> bool {
         self.table[index].is_set()
     }
@@ -73,6 +75,7 @@ impl Pht {
     }
 
     /// Trains the counter at `index` toward the resolved direction.
+    #[inline]
     pub fn train(&mut self, index: usize, taken: bool) {
         self.table[index].train(taken);
     }

@@ -69,26 +69,32 @@ impl Rsb {
 
     /// Pushes a payload; silently overwrites the oldest entry when full
     /// (hardware stacks wrap rather than stall).
+    #[inline]
     pub fn push(&mut self, payload: u64) {
         if self.live == self.slots.len() {
             self.overflows += 1;
         } else {
             self.live += 1;
         }
-        let cap = self.slots.len();
         self.slots[self.top] = payload;
-        self.top = (self.top + 1) % cap;
+        self.top += 1;
+        if self.top == self.slots.len() {
+            self.top = 0;
+        }
     }
 
     /// Pops the most recent payload, or `None` on underflow (the caller
     /// then falls back to the indirect predictor).
+    #[inline]
     pub fn pop(&mut self) -> Option<u64> {
         if self.live == 0 {
             self.underflows += 1;
             return None;
         }
-        let cap = self.slots.len();
-        self.top = (self.top + cap - 1) % cap;
+        if self.top == 0 {
+            self.top = self.slots.len();
+        }
+        self.top -= 1;
         self.live -= 1;
         Some(self.slots[self.top])
     }

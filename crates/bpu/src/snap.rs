@@ -41,17 +41,21 @@ use std::fmt;
 use std::io::Write;
 use std::path::Path;
 
-/// A positioned encode/decode failure.
+/// A positioned encode/decode failure, labelled by what was being
+/// decoded.
 ///
 /// `offset` is the byte position in the decoded buffer where decoding
 /// stopped making sense — sufficient to pinpoint truncation or
-/// corruption.
+/// corruption. The label leads the message: `snapshot` by default, and
+/// each file format names its own (the `.stck` checkpoint and `.stbp`
+/// phase-file errors are this type under their own names).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapError {
     /// Byte offset within the buffer at which the error was detected.
     pub offset: usize,
     /// Human-readable description of what went wrong.
     pub msg: String,
+    context: &'static str,
 }
 
 impl SnapError {
@@ -60,6 +64,7 @@ impl SnapError {
         SnapError {
             offset,
             msg: msg.into(),
+            context: "snapshot",
         }
     }
 
@@ -68,11 +73,21 @@ impl SnapError {
     pub fn unsupported(what: &str) -> Self {
         SnapError::new(0, format!("'{what}' does not support state snapshots"))
     }
+
+    /// The same error, labelled as a failure to decode `context` (e.g.
+    /// `"checkpoint"`).
+    pub fn in_context(self, context: &'static str) -> Self {
+        SnapError { context, ..self }
+    }
 }
 
 impl fmt::Display for SnapError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "snapshot error at byte {}: {}", self.offset, self.msg)
+        write!(
+            f,
+            "{} error at byte {}: {}",
+            self.context, self.offset, self.msg
+        )
     }
 }
 

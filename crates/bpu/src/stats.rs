@@ -83,6 +83,7 @@ impl BpuStats {
     }
 
     /// Records one processed branch of `kind` with its effective result.
+    #[inline]
     pub fn record(&mut self, kind: BranchKind, effective_correct: bool) {
         self.branches += 1;
         self.by_kind[kind.index()] += 1;

@@ -47,6 +47,7 @@ impl Memo {
     /// The slot `(psi, operand)` lives in: Fibonacci hashing of the
     /// operand offset by a multiple of ψ, top bits taken, so every input
     /// bit reaches the index.
+    #[inline]
     fn index(&self, psi: u32, operand: u64) -> usize {
         let h = (operand ^ u64::from(psi).wrapping_mul(0x9e37_79b9_7f4a_7c15))
             .wrapping_mul(0xd6e8_feb8_6659_fd93);
@@ -214,12 +215,14 @@ impl StMapper {
         }
     }
 
+    #[inline]
     fn psi(&self, tid: usize) -> u32 {
         self.token[tid.min(MAX_THREADS - 1)].psi()
     }
 }
 
 impl Mapper for StMapper {
+    #[inline]
     fn btb1(&self, tid: usize, pc: u64) -> BtbCoord {
         let pc = pc & PC48;
         let psi = self.psi(tid);
@@ -234,6 +237,7 @@ impl Mapper for StMapper {
         }
     }
 
+    #[inline]
     fn btb2_tag(&self, tid: usize, bhb: u64) -> u64 {
         let bhb = bhb & BHB58;
         let psi = self.psi(tid);
@@ -244,12 +248,14 @@ impl Mapper for StMapper {
         )
     }
 
+    #[inline]
     fn pht1(&self, tid: usize, pc: u64) -> usize {
         let pc = pc & PC48;
         let psi = self.psi(tid);
         self.memo.r3.get(psi, pc, || self.remaps.r3(psi, pc) as u32) as usize
     }
 
+    #[inline]
     fn pht2(&self, tid: usize, pc: u64, ghr: u64) -> usize {
         // R4 consumes 16 GHR bits (Table II).
         let ghr16 = (ghr & 0xffff) as u16;
@@ -295,10 +301,12 @@ impl Mapper for StMapper {
         y as usize & ((1usize << idx_bits) - 1)
     }
 
+    #[inline]
     fn encrypt_target(&self, tid: usize, stored: u32) -> u32 {
         self.token[tid.min(MAX_THREADS - 1)].encrypt(stored)
     }
 
+    #[inline]
     fn decrypt_target(&self, tid: usize, stored: u32) -> u32 {
         self.token[tid.min(MAX_THREADS - 1)].decrypt(stored)
     }

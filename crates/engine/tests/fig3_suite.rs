@@ -6,9 +6,14 @@
 //! the five protection schemes, and the engine registry + `run_scenarios`
 //! is the supported way to run them.
 
+use stbpu_bpu::{BaselineMapper, BtbConfig, BtbCoord, Mapper};
 use stbpu_engine::{run_scenarios, ModelCore, ModelRegistry, Scenario};
-use stbpu_sim::{simulate_with, Protection, SimOptions, SimReport};
-use stbpu_trace::{profiles, Trace, TraceGenerator};
+use stbpu_predictors::{FullBpu, SklCond};
+use stbpu_sim::{
+    simulate_with, OwnedSession, Protection, SessionOptions, SimOptions, SimReport, Warmup,
+};
+use stbpu_trace::{profiles, Trace, TraceEvent, TraceGenerator};
+use std::cell::Cell;
 
 fn trace_for_seeded(name: &str, branches: usize, seed: u64) -> Trace {
     TraceGenerator::new(profiles::by_name(name).unwrap(), seed).generate(branches)
@@ -101,10 +106,11 @@ fn partitioning_makes_ucode2_at_most_ucode1() {
     );
 }
 
-/// The ST mapper memoizes its remap circuits, so the ~5 circuit calls per
-/// branch of ST_SKLCond (R3, R4 and R1 in both predict and update, plus
-/// R2 on indirect branches) cost at most one actual evaluation per branch
-/// on the CI baseline cell. The count is deterministic for a fixed trace
+/// The ST mapper memoizes its remap circuits, so the 2.56 circuit calls
+/// per branch ST_SKLCond makes on the CI baseline cell (R1 once per
+/// branch, R3 and R4 once per conditional, R2 at most once per branch;
+/// see `skl_maps_each_structure_once_per_branch`) cost at most one actual
+/// evaluation per branch. The count is deterministic for a fixed trace
 /// and seed.
 #[test]
 fn stbpu_evaluates_at_most_one_remap_circuit_per_branch() {
@@ -129,4 +135,101 @@ fn stbpu_evaluates_at_most_one_remap_circuit_per_branch() {
         "{per_branch:.3} remap evaluations per branch (R1,R2,R3,R4,Rt,Rp = {evals:?})"
     );
     assert!(evals[0] > 0 && evals[2] > 0 && evals[3] > 0, "{evals:?}");
+}
+
+/// The baseline mapping functions, counting calls to ①–④ (`btb1`,
+/// `btb2_tag`, `pht1`, `pht2`, in that order).
+#[derive(Default)]
+struct CountingMapper {
+    calls: Cell<[u64; 4]>,
+}
+
+impl CountingMapper {
+    fn count(&self, f: usize) {
+        let mut c = self.calls.get();
+        c[f] += 1;
+        self.calls.set(c);
+    }
+}
+
+impl Mapper for CountingMapper {
+    fn btb1(&self, tid: usize, pc: u64) -> BtbCoord {
+        self.count(0);
+        BaselineMapper.btb1(tid, pc)
+    }
+
+    fn btb2_tag(&self, tid: usize, bhb: u64) -> u64 {
+        self.count(1);
+        BaselineMapper.btb2_tag(tid, bhb)
+    }
+
+    fn pht1(&self, tid: usize, pc: u64) -> usize {
+        self.count(2);
+        BaselineMapper.pht1(tid, pc)
+    }
+
+    fn pht2(&self, tid: usize, pc: u64, ghr: u64) -> usize {
+        self.count(3);
+        BaselineMapper.pht2(tid, pc, ghr)
+    }
+
+    fn tage(
+        &self,
+        tid: usize,
+        pc: u64,
+        folded_idx: u64,
+        folded_tag: u64,
+        table: usize,
+        idx_bits: u32,
+        tag_bits: u32,
+    ) -> (usize, u64) {
+        BaselineMapper.tage(tid, pc, folded_idx, folded_tag, table, idx_bits, tag_bits)
+    }
+
+    fn perceptron(&self, tid: usize, pc: u64, idx_bits: u32) -> usize {
+        BaselineMapper.perceptron(tid, pc, idx_bits)
+    }
+}
+
+/// Work counter: the SKL model computes each structure's mapping once per
+/// branch — one mode-one BTB coordinate (①) per branch, one of each PHT
+/// index (③, ④) per conditional and at most one mode-two tag (②) per
+/// branch, however predict and update share them. Run under ucode1 on a
+/// two-thread server trace, so kernel-entry flushes empty the RSB and
+/// returns take the underflow path through mode two as well.
+#[test]
+fn skl_maps_each_structure_once_per_branch() {
+    let trace = trace_for("apache2_prefork_c128", 60_000);
+    let bpu = FullBpu::new(
+        "SKLCond/counting",
+        SklCond::new(),
+        CountingMapper::default(),
+        BtbConfig::skylake(),
+        false,
+    );
+    let opts = SessionOptions {
+        warmup: Warmup::Branches(0),
+        ..SessionOptions::default()
+    };
+    let mut session = OwnedSession::new(bpu, Protection::Ucode1, opts).unwrap();
+    session.begin(&trace.name, None).unwrap();
+    let mut mode2 = 0;
+    for ev in trace.events() {
+        let before = session.model().mapper().calls.get();
+        session.feed_batch(std::slice::from_ref(ev)).unwrap();
+        let after = session.model().mapper().calls.get();
+        let d: Vec<u64> = (0..4).map(|f| after[f] - before[f]).collect();
+        match ev {
+            TraceEvent::Branch { rec, .. } => {
+                let cond = u64::from(rec.kind.is_conditional());
+                assert_eq!(d[0], 1, "btb1 calls for {rec:?}");
+                assert!(d[1] <= 1, "{} btb2_tag calls for {rec:?}", d[1]);
+                assert_eq!((d[2], d[3]), (cond, cond), "PHT mapping calls for {rec:?}");
+                mode2 += d[1];
+            }
+            _ => assert_eq!(d, [0; 4], "mapping calls outside a branch ({ev:?})"),
+        }
+    }
+    let report = session.finish();
+    assert!(trace.thread_count() == 2 && report.flushes > 0 && mode2 > 0);
 }

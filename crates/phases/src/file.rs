@@ -62,34 +62,15 @@ const STBP: Format = Format {
     known_flags: 0,
 };
 
-/// A decode/validation failure with the byte offset where it was
-/// detected (I/O failures report offset 0).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PhaseError {
-    /// Byte offset into the phase-file stream where the problem was
-    /// detected.
-    pub offset: usize,
-    /// Human-readable description.
-    pub msg: String,
-}
+/// A `.stbp` decode/validation failure with the byte offset where it was
+/// detected (I/O failures report offset 0); displayed as "phase file
+/// error at byte …".
+pub type PhaseError = SnapError;
 
-impl PhaseError {
-    /// An error at `offset`.
-    pub fn new(offset: usize, msg: impl Into<String>) -> Self {
-        PhaseError {
-            offset,
-            msg: msg.into(),
-        }
-    }
+/// Labels `e` as a phase-file error.
+fn phase_err(e: SnapError) -> PhaseError {
+    e.in_context("phase file")
 }
-
-impl std::fmt::Display for PhaseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "phase file error at byte {}: {}", self.offset, self.msg)
-    }
-}
-
-impl std::error::Error for PhaseError {}
 
 /// One phase: a representative slice, the weight of the cluster it
 /// stands for, and where it lives in the stream.
@@ -183,7 +164,7 @@ impl PhaseFile {
     /// A positioned [`PhaseError`] on any malformed input; decoding
     /// never panics.
     pub fn from_bytes(data: &[u8]) -> Result<PhaseFile, PhaseError> {
-        PhaseFile::decode(data).map_err(|e| PhaseError::new(e.offset, e.msg))
+        PhaseFile::decode(data).map_err(phase_err)
     }
 
     fn decode(data: &[u8]) -> Result<PhaseFile, SnapError> {
@@ -234,7 +215,7 @@ impl PhaseFile {
     /// I/O failures, reported with offset 0.
     pub fn save(&self, path: &Path) -> Result<(), PhaseError> {
         write_atomic(path, &self.to_bytes())
-            .map_err(|e| PhaseError::new(0, format!("{}: {e}", path.display())))
+            .map_err(|e| phase_err(SnapError::new(0, format!("{}: {e}", path.display()))))
     }
 
     /// Reads and decodes a phase file from `path`.
@@ -245,7 +226,7 @@ impl PhaseFile {
     /// can return.
     pub fn load(path: &Path) -> Result<PhaseFile, PhaseError> {
         let data = std::fs::read(path)
-            .map_err(|e| PhaseError::new(0, format!("{}: {e}", path.display())))?;
+            .map_err(|e| phase_err(SnapError::new(0, format!("{}: {e}", path.display()))))?;
         PhaseFile::from_bytes(&data)
     }
 
@@ -332,6 +313,10 @@ mod tests {
         bytes[mid] ^= 0x40;
         let err = PhaseFile::from_bytes(&bytes).unwrap_err();
         assert!(err.msg.contains("checksum mismatch"), "{}", err.msg);
+        assert_eq!(
+            err.to_string(),
+            format!("phase file error at byte {}: {}", err.offset, err.msg)
+        );
     }
 
     #[test]

@@ -48,8 +48,10 @@ pub struct DirPrediction {
 ///
 /// `predict` is always followed by exactly one `update` for the same branch
 /// before the next `predict` on the same hardware thread — implementations
-/// may stash per-thread scratch state between the two calls (TAGE does,
-/// to avoid recomputing tagged-table lookups).
+/// may stash per-thread scratch state between the two calls. SKLCond and
+/// gshare stash their PHT (and chooser) indexes and TAGE its tagged-table
+/// lookups, so each of their mappings is computed once per branch and
+/// their `update` ignores the mapper, `pc` and history it is handed.
 ///
 /// All mapping is routed through the supplied [`Mapper`], which is how the
 /// same predictor code runs unprotected (baseline mapper) or secret-token

@@ -92,6 +92,10 @@ impl<D: DirectionPredictor, M: Mapper> Bpu for FullBpu<D, M> {
     fn process(&mut self, tid: usize, rec: &BranchRecord) -> BranchOutcome {
         let tid = tid.min(MAX_THREADS - 1);
         let pc = rec.pc.raw();
+        // Every structure is addressed once per branch: the mode-one BTB
+        // coordinate here, the PHT indexes inside the direction predictor,
+        // the mode-two tag inside the target prediction.
+        let at = self.mapper.btb1(tid, pc);
 
         // 1. Direction prediction (conditional branches only).
         let dir_pred: Option<DirPrediction> = if rec.kind.is_conditional() {
@@ -105,7 +109,7 @@ impl<D: DirectionPredictor, M: Mapper> Bpu for FullBpu<D, M> {
         let tgt_pred = if pred_taken {
             Some(
                 self.target
-                    .predict(&self.mapper, tid, rec, &mut self.hist[tid]),
+                    .predict(&self.mapper, tid, rec, at, &mut self.hist[tid]),
             )
         } else {
             None
@@ -135,9 +139,14 @@ impl<D: DirectionPredictor, M: Mapper> Bpu for FullBpu<D, M> {
                 .update(&self.mapper, tid, pc, &self.hist[tid], rec.taken, dp);
             self.hist[tid].push_outcome(rec.taken);
         }
-        let evictions =
-            self.target
-                .update(&self.mapper, tid, rec, &mut self.hist[tid], rsb_underflow);
+        let evictions = self.target.update(
+            &self.mapper,
+            tid,
+            rec,
+            at,
+            &mut self.hist[tid],
+            tgt_pred.as_ref(),
+        );
 
         // 5. Statistics.
         self.stats.record(rec.kind, effective_correct);

@@ -2,7 +2,7 @@
 //! used by ablation benches as a reference point for the SKL hybrid.
 
 use crate::direction::{DirPrediction, DirectionPredictor, Provider};
-use stbpu_bpu::{HistoryCtx, Mapper, Pht, SnapError, StateReader, StateWriter};
+use stbpu_bpu::{HistoryCtx, Mapper, Pht, SnapError, StateReader, StateWriter, MAX_THREADS};
 
 /// A single-table gshare direction predictor.
 ///
@@ -19,6 +19,9 @@ use stbpu_bpu::{HistoryCtx, Mapper, Pht, SnapError, StateReader, StateWriter};
 #[derive(Clone, Debug)]
 pub struct Gshare {
     pht: Pht,
+    /// Per-thread index computed by `predict` and reused by the paired
+    /// `update` (dead between branches, so never checkpointed).
+    stash: [usize; MAX_THREADS],
 }
 
 impl Gshare {
@@ -26,6 +29,7 @@ impl Gshare {
     pub fn new(entries: usize) -> Self {
         Gshare {
             pht: Pht::new(entries),
+            stash: [0; MAX_THREADS],
         }
     }
 }
@@ -36,7 +40,8 @@ impl DirectionPredictor for Gshare {
     }
 
     fn predict(&mut self, m: &dyn Mapper, tid: usize, pc: u64, h: &HistoryCtx) -> DirPrediction {
-        let idx = m.pht2(tid, pc, h.ghr()) % self.pht.len();
+        let idx = m.pht2(tid, pc, h.ghr()) & (self.pht.len() - 1);
+        self.stash[tid] = idx;
         DirPrediction {
             taken: self.pht.predict(idx),
             provider: Provider::TwoLevel,
@@ -45,15 +50,14 @@ impl DirectionPredictor for Gshare {
 
     fn update(
         &mut self,
-        m: &dyn Mapper,
+        _m: &dyn Mapper,
         tid: usize,
-        pc: u64,
-        h: &HistoryCtx,
+        _pc: u64,
+        _h: &HistoryCtx,
         taken: bool,
         _pred: DirPrediction,
     ) {
-        let idx = m.pht2(tid, pc, h.ghr()) % self.pht.len();
-        self.pht.train(idx, taken);
+        self.pht.train(self.stash[tid], taken);
     }
 
     fn flush(&mut self) {

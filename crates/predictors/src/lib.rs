@@ -58,7 +58,7 @@ pub use ittage::{Ittage, IttageConfig, ITTAGE_BANK_BASE};
 pub use perceptron::{PerceptronConfig, PerceptronPredictor};
 pub use sklcond::SklCond;
 pub use tage::{Tage, TageConfig};
-pub use target::TargetUnit;
+pub use target::{TargetPrediction, TargetUnit};
 
 use stbpu_bpu::{BaselineMapper, BtbConfig, ConservativeMapper};
 

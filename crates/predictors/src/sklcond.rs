@@ -11,7 +11,7 @@
 use crate::direction::{DirPrediction, DirectionPredictor, Provider};
 use stbpu_bpu::{
     check_len, HistoryCtx, Mapper, Pht, SaturatingCounter, SnapError, StateReader, StateWriter,
-    PHT_ENTRIES,
+    MAX_THREADS, PHT_ENTRIES,
 };
 
 /// Chooser table size (2-bit counters, address-indexed).
@@ -34,6 +34,19 @@ pub struct SklCond {
     pht: Pht,
     /// Chooser: high half prefers the two-level mode.
     chooser: Vec<SaturatingCounter>,
+    /// Per-thread indexes computed by `predict` and reused by the paired
+    /// `update` (dead between branches, so never checkpointed).
+    stash: [Indexes; MAX_THREADS],
+}
+
+/// The three table indexes of one conditional branch.
+#[derive(Clone, Copy, Debug, Default)]
+struct Indexes {
+    /// One-level PHT index (function ③/R3).
+    one: usize,
+    /// Two-level PHT index (function ④/R4).
+    two: usize,
+    chooser: usize,
 }
 
 impl SklCond {
@@ -42,11 +55,8 @@ impl SklCond {
         SklCond {
             pht: Pht::new(PHT_ENTRIES),
             chooser: vec![SaturatingCounter::new(2, 2); CHOOSER_ENTRIES],
+            stash: [Indexes::default(); MAX_THREADS],
         }
-    }
-
-    fn chooser_index(pc: u64) -> usize {
-        (stbpu_bpu::fold_u64(pc >> 2, 12)) as usize
     }
 }
 
@@ -61,11 +71,18 @@ impl DirectionPredictor for SklCond {
         "SKLCond"
     }
 
+    #[inline]
     fn predict(&mut self, m: &dyn Mapper, tid: usize, pc: u64, h: &HistoryCtx) -> DirPrediction {
-        let p1 = self.pht.predict(m.pht1(tid, pc) % self.pht.len());
-        let p2 = self.pht.predict(m.pht2(tid, pc, h.ghr()) % self.pht.len());
-        let use_two_level = self.chooser[Self::chooser_index(pc)].is_set();
-        if use_two_level {
+        let mask = self.pht.len() - 1;
+        let ix = Indexes {
+            one: m.pht1(tid, pc) & mask,
+            two: m.pht2(tid, pc, h.ghr()) & mask,
+            chooser: stbpu_bpu::fold_u64(pc >> 2, 12) as usize,
+        };
+        self.stash[tid] = ix;
+        let p1 = self.pht.predict(ix.one);
+        let p2 = self.pht.predict(ix.two);
+        if self.chooser[ix.chooser].is_set() {
             DirPrediction {
                 taken: p2,
                 provider: Provider::TwoLevel,
@@ -78,26 +95,26 @@ impl DirectionPredictor for SklCond {
         }
     }
 
+    #[inline]
     fn update(
         &mut self,
-        m: &dyn Mapper,
+        _m: &dyn Mapper,
         tid: usize,
-        pc: u64,
-        h: &HistoryCtx,
+        _pc: u64,
+        _h: &HistoryCtx,
         taken: bool,
         _pred: DirPrediction,
     ) {
-        let i1 = m.pht1(tid, pc) % self.pht.len();
-        let i2 = m.pht2(tid, pc, h.ghr()) % self.pht.len();
-        let p1 = self.pht.predict(i1);
-        let p2 = self.pht.predict(i2);
+        let ix = self.stash[tid];
+        let p1 = self.pht.predict(ix.one);
+        let p2 = self.pht.predict(ix.two);
         // Tournament chooser update: only when the components disagree,
         // move toward whichever was right.
         if p1 != p2 {
-            self.chooser[Self::chooser_index(pc)].train(p2 == taken);
+            self.chooser[ix.chooser].train(p2 == taken);
         }
-        self.pht.train(i1, taken);
-        self.pht.train(i2, taken);
+        self.pht.train(ix.one, taken);
+        self.pht.train(ix.two, taken);
     }
 
     fn flush(&mut self) {

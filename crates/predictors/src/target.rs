@@ -15,8 +15,8 @@
 
 use crate::ittage::{Ittage, IttageConfig};
 use stbpu_bpu::{
-    partition_set, BranchKind, BranchRecord, Btb, BtbConfig, HistoryCtx, Mapper, SnapError,
-    StateReader, StateWriter, VirtAddr,
+    partition_set, BranchKind, BranchRecord, Btb, BtbConfig, BtbCoord, HistoryCtx, Mapper,
+    SnapError, StateReader, StateWriter, VirtAddr,
 };
 
 /// Result of a target lookup for one branch.
@@ -29,21 +29,52 @@ pub struct TargetPrediction {
     /// A return found the RSB empty and fell back to the indirect
     /// predictor.
     pub rsb_underflow: bool,
+    /// The mode-two tag (function ②/R2) when the lookup computed one, so
+    /// [`TargetUnit::update`] reuses it: the BHB it hashes only changes at
+    /// the end of `update`.
+    pub mode2_tag: Option<u64>,
+}
+
+impl TargetPrediction {
+    fn hit(target: VirtAddr) -> Self {
+        TargetPrediction {
+            target: Some(target),
+            btb_miss: false,
+            rsb_underflow: false,
+            mode2_tag: None,
+        }
+    }
+
+    fn miss() -> Self {
+        TargetPrediction {
+            target: None,
+            btb_miss: true,
+            rsb_underflow: false,
+            mode2_tag: None,
+        }
+    }
 }
 
 /// BTB + RSB target predictor, parameterized by a [`Mapper`] at call time.
 ///
+/// Each mapping is computed once per branch: the caller maps the branch
+/// address with [`Mapper::btb1`] and hands the same coordinate to
+/// [`TargetUnit::predict`] and [`TargetUnit::update`], and the mode-two
+/// tag travels from `predict` to `update` inside the [`TargetPrediction`].
+///
 /// ```
-/// use stbpu_bpu::{BaselineMapper, BranchKind, BranchRecord, BtbConfig, HistoryCtx};
+/// use stbpu_bpu::{BaselineMapper, BranchKind, BranchRecord, BtbConfig, HistoryCtx, Mapper};
 /// use stbpu_predictors::TargetUnit;
 ///
 /// let mut t = TargetUnit::new(BtbConfig::skylake(), false);
 /// let m = BaselineMapper::new();
 /// let mut h = HistoryCtx::new();
 /// let rec = BranchRecord::taken(0x40_0000, BranchKind::DirectJump, 0x41_0000);
-/// assert!(t.predict(&m, 0, &rec, &mut h).target.is_none()); // cold miss
-/// t.update(&m, 0, &rec, &mut h, false);
-/// assert_eq!(t.predict(&m, 0, &rec, &mut h).target, Some(rec.target));
+/// let at = m.btb1(0, rec.pc.raw());
+/// let p = t.predict(&m, 0, &rec, at, &mut h);
+/// assert!(p.target.is_none()); // cold miss
+/// t.update(&m, 0, &rec, at, &mut h, Some(&p));
+/// assert_eq!(t.predict(&m, 0, &rec, at, &mut h).target, Some(rec.target));
 /// ```
 #[derive(Clone, Debug)]
 pub struct TargetUnit {
@@ -131,11 +162,13 @@ impl TargetUnit {
         Ok(())
     }
 
+    #[inline]
     fn set_for(&self, index: usize, tid: usize) -> usize {
         let sets = self.btb.config().sets;
-        partition_set(index % sets, sets, tid, self.partitioned)
+        partition_set(index & (sets - 1), sets, tid, self.partitioned)
     }
 
+    #[inline]
     fn encode(&self, m: &dyn Mapper, tid: usize, target: VirtAddr) -> u64 {
         if self.full_fidelity {
             target.raw()
@@ -144,6 +177,7 @@ impl TargetUnit {
         }
     }
 
+    #[inline]
     fn decode(&self, m: &dyn Mapper, tid: usize, reference: VirtAddr, payload: u64) -> VirtAddr {
         if self.full_fidelity {
             VirtAddr::new(payload)
@@ -153,112 +187,93 @@ impl TargetUnit {
     }
 
     /// Predicts the target of `rec` (consulting RSB for returns, BTB mode
-    /// two then one for indirect branches, mode one otherwise).
+    /// two then one for indirect branches, mode one otherwise). `at` is
+    /// the branch's mode-one coordinate, `m.btb1(tid, rec.pc)`.
+    #[inline]
     pub fn predict(
         &mut self,
         m: &dyn Mapper,
         tid: usize,
         rec: &BranchRecord,
+        at: BtbCoord,
         h: &mut HistoryCtx,
     ) -> TargetPrediction {
-        let pc = rec.pc.raw();
-        let coord = m.btb1(tid, pc);
-        let set = self.set_for(coord.index, tid);
-
+        let set = self.set_for(at.index, tid);
         match rec.kind {
             BranchKind::Return => match h.rsb.pop() {
-                Some(payload) => TargetPrediction {
-                    target: Some(self.decode(m, tid, rec.pc, payload)),
-                    btb_miss: false,
-                    rsb_underflow: false,
+                Some(payload) => TargetPrediction::hit(self.decode(m, tid, rec.pc, payload)),
+                None => TargetPrediction {
+                    rsb_underflow: true,
+                    ..self.indirect_lookup(m, tid, rec, set, at, h)
                 },
-                None => {
-                    let mut p = self.indirect_lookup(m, tid, rec, set, coord.tag, coord.offset, h);
-                    p.rsb_underflow = true;
-                    p
-                }
             },
             BranchKind::IndirectJump | BranchKind::IndirectCall => {
-                self.indirect_lookup(m, tid, rec, set, coord.tag, coord.offset, h)
+                self.indirect_lookup(m, tid, rec, set, at, h)
             }
-            _ => match self.btb.lookup(set, coord.tag, coord.offset) {
-                Some(payload) => TargetPrediction {
-                    target: Some(self.decode(m, tid, rec.pc, payload)),
-                    btb_miss: false,
-                    rsb_underflow: false,
-                },
-                None => TargetPrediction {
-                    target: None,
-                    btb_miss: true,
-                    rsb_underflow: false,
-                },
+            _ => match self.btb.lookup(set, at.tag, at.offset) {
+                Some(payload) => TargetPrediction::hit(self.decode(m, tid, rec.pc, payload)),
+                None => TargetPrediction::miss(),
             },
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[inline]
     fn indirect_lookup(
         &mut self,
         m: &dyn Mapper,
         tid: usize,
         rec: &BranchRecord,
         set: usize,
-        tag1: u64,
-        offset: u8,
+        at: BtbCoord,
         h: &HistoryCtx,
     ) -> TargetPrediction {
         // ITTAGE stage first: tagged path-history tables capture far more
         // context than the BHB-derived mode-two tag.
         if let Some(it) = &self.ittage {
             if let Some(payload) = it.predict(m, tid, rec.pc.raw()) {
-                return TargetPrediction {
-                    target: Some(self.decode(m, tid, rec.pc, payload)),
-                    btb_miss: false,
-                    rsb_underflow: false,
-                };
+                return TargetPrediction::hit(self.decode(m, tid, rec.pc, payload));
             }
         }
         // Mode two: BHB-derived tag captures the branch context, allowing
         // several targets per static branch.
         let tag2 = m.btb2_tag(tid, h.bhb());
-        if let Some(payload) = self.btb.lookup(set, tag2 | MODE2_BIT, offset) {
-            return TargetPrediction {
-                target: Some(self.decode(m, tid, rec.pc, payload)),
-                btb_miss: false,
-                rsb_underflow: false,
-            };
-        }
-        // Fall back to mode one (last-target prediction).
-        match self.btb.lookup(set, tag1, offset) {
-            Some(payload) => TargetPrediction {
-                target: Some(self.decode(m, tid, rec.pc, payload)),
-                btb_miss: false,
-                rsb_underflow: false,
+        let p = match self.btb.lookup(set, tag2 | MODE2_BIT, at.offset) {
+            Some(payload) => TargetPrediction::hit(self.decode(m, tid, rec.pc, payload)),
+            // Fall back to mode one (last-target prediction).
+            None => match self.btb.lookup(set, at.tag, at.offset) {
+                Some(payload) => TargetPrediction::hit(self.decode(m, tid, rec.pc, payload)),
+                None => TargetPrediction::miss(),
             },
-            None => TargetPrediction {
-                target: None,
-                btb_miss: true,
-                rsb_underflow: false,
-            },
+        };
+        TargetPrediction {
+            mode2_tag: Some(tag2),
+            ..p
         }
     }
 
     /// Updates structures with the resolved branch; returns the number of
-    /// BTB evictions triggered (fed to the STBPU monitoring MSRs).
-    /// `rsb_underflowed` must carry the flag from this branch's
-    /// [`TargetUnit::predict`].
+    /// BTB evictions triggered (fed to the STBPU monitoring MSRs). `at` is
+    /// the coordinate given to [`TargetUnit::predict`], and `pred` is what
+    /// that call returned, or `None` when the front end did not follow the
+    /// branch (then no RSB underflow happened and no mode-two tag exists).
+    #[inline]
     pub fn update(
         &mut self,
         m: &dyn Mapper,
         tid: usize,
         rec: &BranchRecord,
+        at: BtbCoord,
         h: &mut HistoryCtx,
-        rsb_underflowed: bool,
+        pred: Option<&TargetPrediction>,
     ) -> u32 {
         let mut evictions = 0;
         let pc = rec.pc.raw();
-        let coord = m.btb1(tid, pc);
-        let set = self.set_for(coord.index, tid);
+        let set = self.set_for(at.index, tid);
+        let rsb_underflowed = pred.is_some_and(|p| p.rsb_underflow);
+        let mode2_tag = |h: &HistoryCtx| {
+            pred.and_then(|p| p.mode2_tag)
+                .unwrap_or_else(|| m.btb2_tag(tid, h.bhb()))
+        };
 
         if rec.taken {
             let payload = self.encode(m, tid, rec.target);
@@ -270,10 +285,10 @@ impl TargetUnit {
                         if let Some(it) = &mut self.ittage {
                             it.update(m, tid, pc, payload);
                         }
-                        let tag2 = m.btb2_tag(tid, h.bhb());
+                        let tag2 = mode2_tag(h);
                         if self
                             .btb
-                            .insert(set, tag2 | MODE2_BIT, coord.offset, payload)
+                            .insert(set, tag2 | MODE2_BIT, at.offset, payload)
                             .is_some()
                         {
                             evictions += 1;
@@ -284,28 +299,20 @@ impl TargetUnit {
                     if let Some(it) = &mut self.ittage {
                         it.update(m, tid, pc, payload);
                     }
-                    let tag2 = m.btb2_tag(tid, h.bhb());
+                    let tag2 = mode2_tag(h);
                     if self
                         .btb
-                        .insert(set, tag2 | MODE2_BIT, coord.offset, payload)
+                        .insert(set, tag2 | MODE2_BIT, at.offset, payload)
                         .is_some()
                     {
                         evictions += 1;
                     }
-                    if self
-                        .btb
-                        .insert(set, coord.tag, coord.offset, payload)
-                        .is_some()
-                    {
+                    if self.btb.insert(set, at.tag, at.offset, payload).is_some() {
                         evictions += 1;
                     }
                 }
                 _ => {
-                    if self
-                        .btb
-                        .insert(set, coord.tag, coord.offset, payload)
-                        .is_some()
-                    {
+                    if self.btb.insert(set, at.tag, at.offset, payload).is_some() {
                         evictions += 1;
                     }
                 }
@@ -339,6 +346,29 @@ mod tests {
     use super::*;
     use stbpu_bpu::BaselineMapper;
 
+    /// `TargetUnit::predict` at the branch's own mode-one coordinate.
+    fn predict(
+        t: &mut TargetUnit,
+        m: &dyn Mapper,
+        tid: usize,
+        rec: &BranchRecord,
+        h: &mut HistoryCtx,
+    ) -> TargetPrediction {
+        t.predict(m, tid, rec, m.btb1(tid, rec.pc.raw()), h)
+    }
+
+    /// `TargetUnit::update` at the branch's own mode-one coordinate.
+    fn update(
+        t: &mut TargetUnit,
+        m: &dyn Mapper,
+        tid: usize,
+        rec: &BranchRecord,
+        h: &mut HistoryCtx,
+        pred: Option<&TargetPrediction>,
+    ) -> u32 {
+        t.update(m, tid, rec, m.btb1(tid, rec.pc.raw()), h, pred)
+    }
+
     fn unit() -> (TargetUnit, BaselineMapper, HistoryCtx) {
         (
             TargetUnit::new(BtbConfig::skylake(), false),
@@ -351,9 +381,9 @@ mod tests {
     fn direct_branch_learns_target() {
         let (mut t, m, mut h) = unit();
         let rec = BranchRecord::taken(0x40_1000, BranchKind::DirectJump, 0x40_2000);
-        assert!(t.predict(&m, 0, &rec, &mut h).btb_miss);
-        t.update(&m, 0, &rec, &mut h, false);
-        let p = t.predict(&m, 0, &rec, &mut h);
+        assert!(predict(&mut t, &m, 0, &rec, &mut h).btb_miss);
+        update(&mut t, &m, 0, &rec, &mut h, None);
+        let p = predict(&mut t, &m, 0, &rec, &mut h);
         assert_eq!(p.target, Some(rec.target));
         assert!(!p.btb_miss);
     }
@@ -362,9 +392,9 @@ mod tests {
     fn call_return_roundtrip_via_rsb() {
         let (mut t, m, mut h) = unit();
         let call = BranchRecord::taken(0x40_1000, BranchKind::DirectCall, 0x50_0000);
-        t.update(&m, 0, &call, &mut h, false);
+        update(&mut t, &m, 0, &call, &mut h, None);
         let ret = BranchRecord::taken(0x50_0040, BranchKind::Return, call.fallthrough().raw());
-        let p = t.predict(&m, 0, &ret, &mut h);
+        let p = predict(&mut t, &m, 0, &ret, &mut h);
         assert_eq!(p.target, Some(call.fallthrough()));
         assert!(!p.rsb_underflow);
     }
@@ -373,14 +403,14 @@ mod tests {
     fn return_underflow_falls_back_to_indirect() {
         let (mut t, m, mut h) = unit();
         let ret = BranchRecord::taken(0x50_0040, BranchKind::Return, 0x40_1004);
-        let p = t.predict(&m, 0, &ret, &mut h);
+        let p = predict(&mut t, &m, 0, &ret, &mut h);
         assert!(p.rsb_underflow);
         assert_eq!(p.target, None);
         // After the underflow is learned by mode two, the same context
         // predicts correctly.
-        t.update(&m, 0, &ret, &mut h, true);
+        update(&mut t, &m, 0, &ret, &mut h, Some(&p));
         let mut h2 = HistoryCtx::new();
-        let p2 = t.predict(&m, 0, &ret, &mut h2);
+        let p2 = predict(&mut t, &m, 0, &ret, &mut h2);
         assert!(p2.rsb_underflow);
         assert_eq!(p2.target, Some(ret.target));
     }
@@ -403,12 +433,12 @@ mod tests {
         let (ta, tb) = (0x60_0000u64, 0x70_0000u64);
         // Train both contexts (update uses the pre-branch BHB).
         let mut ha2 = ha.clone();
-        t.update(&m, 0, &mk(ta), &mut ha2, false);
+        update(&mut t, &m, 0, &mk(ta), &mut ha2, None);
         let mut hb2 = hb.clone();
-        t.update(&m, 0, &mk(tb), &mut hb2, false);
+        update(&mut t, &m, 0, &mk(tb), &mut hb2, None);
 
-        let pa = t.predict(&m, 0, &mk(ta), &mut ha.clone());
-        let pb = t.predict(&m, 0, &mk(tb), &mut hb.clone());
+        let pa = predict(&mut t, &m, 0, &mk(ta), &mut ha.clone());
+        let pb = predict(&mut t, &m, 0, &mk(tb), &mut hb.clone());
         assert_eq!(pa.target, Some(VirtAddr::new(ta)));
         assert_eq!(pb.target, Some(VirtAddr::new(tb)));
     }
@@ -420,8 +450,8 @@ mod tests {
         // a (correctly modelled) misprediction by full models.
         let (mut t, m, mut h) = unit();
         let rec = BranchRecord::taken(0x7f_0000_1000, BranchKind::DirectJump, 0x12_3456_7890);
-        t.update(&m, 0, &rec, &mut h, false);
-        let p = t.predict(&m, 0, &rec, &mut h);
+        update(&mut t, &m, 0, &rec, &mut h, None);
+        let p = predict(&mut t, &m, 0, &rec, &mut h);
         let got = p.target.unwrap();
         assert_ne!(got, rec.target);
         assert_eq!(got.low32(), rec.target.low32());
@@ -433,8 +463,11 @@ mod tests {
         let m = stbpu_bpu::ConservativeMapper::new();
         let mut h = HistoryCtx::new();
         let rec = BranchRecord::taken(0x7f_0000_1000, BranchKind::DirectJump, 0x12_3456_7890);
-        t.update(&m, 0, &rec, &mut h, false);
-        assert_eq!(t.predict(&m, 0, &rec, &mut h).target, Some(rec.target));
+        update(&mut t, &m, 0, &rec, &mut h, None);
+        assert_eq!(
+            predict(&mut t, &m, 0, &rec, &mut h).target,
+            Some(rec.target)
+        );
     }
 
     #[test]
@@ -444,10 +477,10 @@ mod tests {
         let rec = BranchRecord::taken(0x40_1000, BranchKind::DirectJump, 0x40_2000);
         let mut h0 = HistoryCtx::new();
         let mut h1 = HistoryCtx::new();
-        t.update(&m, 0, &rec, &mut h0, false);
+        update(&mut t, &m, 0, &rec, &mut h0, None);
         // Thread 1 must not see thread 0's entry.
-        assert!(t.predict(&m, 1, &rec, &mut h1).btb_miss);
-        assert!(!t.predict(&m, 0, &rec, &mut h0).btb_miss);
+        assert!(predict(&mut t, &m, 1, &rec, &mut h1).btb_miss);
+        assert!(!predict(&mut t, &m, 0, &rec, &mut h0).btb_miss);
     }
 
     #[test]
@@ -459,7 +492,7 @@ mod tests {
         for i in 0..12u64 {
             let pc = 0x40_0000 + (i << 14); // same index, different tag fold
             let rec = BranchRecord::taken(pc, BranchKind::DirectJump, 0x9000);
-            evictions += t.update(&m, 0, &rec, &mut h, false);
+            evictions += update(&mut t, &m, 0, &rec, &mut h, None);
         }
         assert!(
             evictions >= 4,

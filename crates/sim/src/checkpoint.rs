@@ -61,39 +61,22 @@ const STCK: Format = Format {
     known_flags: 0,
 };
 
-/// A decode/validation failure with the byte offset where it was
-/// detected (I/O failures report offset 0).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CheckpointError {
-    /// Byte offset into the checkpoint stream where the problem was
-    /// detected.
-    pub offset: usize,
-    /// Human-readable description.
-    pub msg: String,
+/// A `.stck` decode/validation failure with the byte offset where it was
+/// detected (I/O failures report offset 0); displayed as "checkpoint
+/// error at byte …".
+pub type CheckpointError = SnapError;
+
+/// Labels `e` as a checkpoint error.
+fn ckpt_err(e: SnapError) -> CheckpointError {
+    e.in_context("checkpoint")
 }
 
-impl CheckpointError {
-    /// An error at `offset`.
-    pub fn new(offset: usize, msg: impl Into<String>) -> Self {
-        CheckpointError {
-            offset,
-            msg: msg.into(),
-        }
-    }
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "checkpoint error at byte {}: {}", self.offset, self.msg)
-    }
-}
-
-impl std::error::Error for CheckpointError {}
-
-impl From<SnapError> for CheckpointError {
-    fn from(e: SnapError) -> Self {
-        CheckpointError::new(e.offset, format!("state snapshot: {}", e.msg))
-    }
+/// A session or model state blob that does not fit the session.
+fn state_err(e: SnapError) -> CheckpointError {
+    ckpt_err(SnapError::new(
+        e.offset,
+        format!("state snapshot: {}", e.msg),
+    ))
 }
 
 impl Protection {
@@ -161,7 +144,7 @@ impl Checkpoint {
         let mut sw = StateWriter::new();
         session.save_session_state(&mut sw);
         let mut mw = StateWriter::new();
-        session.model().save_state(&mut mw)?;
+        session.model().save_state(&mut mw).map_err(state_err)?;
         Ok(Checkpoint {
             model_spec: model_spec.to_string(),
             workload: session.workload().unwrap_or("unnamed").to_string(),
@@ -185,11 +168,12 @@ impl Checkpoint {
     /// the session/model geometry.
     pub fn apply<B: Bpu>(&self, session: &mut OwnedSession<B>) -> Result<(), CheckpointError> {
         let mut r = StateReader::new(&self.session_state);
-        session.load_session_state(&mut r)?;
-        r.expect_end()?;
+        session
+            .load_session_state(&mut r)
+            .and_then(|()| r.expect_end())
+            .map_err(state_err)?;
         let mut r = StateReader::new(&self.model_state);
-        session.model_mut().load_state(&mut r)?;
-        Ok(())
+        session.model_mut().load_state(&mut r).map_err(state_err)
     }
 
     /// Encodes the checkpoint into the `.stck` byte format.
@@ -214,7 +198,7 @@ impl Checkpoint {
     /// A positioned [`CheckpointError`] on any malformed input; decoding
     /// never panics.
     pub fn from_bytes(data: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        Checkpoint::decode(data).map_err(|e| CheckpointError::new(e.offset, e.msg))
+        Checkpoint::decode(data).map_err(ckpt_err)
     }
 
     fn decode(data: &[u8]) -> Result<Checkpoint, SnapError> {
@@ -248,7 +232,7 @@ impl Checkpoint {
     /// I/O failures, reported with offset 0.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
         write_atomic(path, &self.to_bytes())
-            .map_err(|e| CheckpointError::new(0, format!("{}: {e}", path.display())))
+            .map_err(|e| ckpt_err(SnapError::new(0, format!("{}: {e}", path.display()))))
     }
 
     /// Reads and decodes a checkpoint from `path`.
@@ -259,7 +243,7 @@ impl Checkpoint {
     /// can return.
     pub fn load(path: &Path) -> Result<Checkpoint, CheckpointError> {
         let data = std::fs::read(path)
-            .map_err(|e| CheckpointError::new(0, format!("{}: {e}", path.display())))?;
+            .map_err(|e| ckpt_err(SnapError::new(0, format!("{}: {e}", path.display()))))?;
         Checkpoint::from_bytes(&data)
     }
 }
@@ -317,6 +301,10 @@ mod tests {
         bytes[mid] ^= 0x40;
         let err = Checkpoint::from_bytes(&bytes).unwrap_err();
         assert!(err.msg.contains("checksum mismatch"), "{}", err.msg);
+        assert_eq!(
+            err.to_string(),
+            format!("checkpoint error at byte {}: {}", err.offset, err.msg)
+        );
     }
 
     #[test]
@@ -409,5 +397,21 @@ mod tests {
         assert_eq!(r_full.branches, r_resumed.branches);
         assert_eq!(r_full.mispredictions, r_resumed.mispredictions);
         assert_eq!(r_full.workload, r_resumed.workload);
+    }
+
+    #[test]
+    fn mismatched_state_is_a_checkpoint_error() {
+        let mut cp = sample();
+        cp.model_state.truncate(cp.model_state.len() / 2);
+        let mut s = OwnedSession::new(skl_baseline(), Protection::Stbpu, SessionOptions::default())
+            .unwrap();
+        let err = cp.apply(&mut s).unwrap_err();
+        assert!(
+            err.to_string().starts_with(&format!(
+                "checkpoint error at byte {}: state snapshot: ",
+                err.offset
+            )),
+            "{err}"
+        );
     }
 }

@@ -91,6 +91,19 @@ impl Trace {
 
     /// Appends one event, updating the summary counters.
     pub fn push(&mut self, ev: TraceEvent) {
+        self.count(&ev);
+        self.events.push(ev);
+    }
+
+    /// Appends a run of events, updating the summary counters.
+    pub fn extend_from_slice(&mut self, events: &[TraceEvent]) {
+        for ev in events {
+            self.count(ev);
+        }
+        self.events.extend_from_slice(events);
+    }
+
+    fn count(&mut self, ev: &TraceEvent) {
         self.threads = self.threads.max(ev.tid() as usize + 1);
         match ev {
             TraceEvent::Branch { rec, .. } => {
@@ -101,7 +114,6 @@ impl Trace {
             TraceEvent::ModeSwitch { kernel: true, .. } => self.kernel_entries += 1,
             _ => {}
         }
-        self.events.push(ev);
     }
 
     /// The event stream.

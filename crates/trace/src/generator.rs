@@ -52,8 +52,7 @@ pub struct TraceGenerator {
     cuts: [f64; 3],
 }
 
-/// Cursor state of one in-progress trace emission (shared by the
-/// materializing and streaming paths).
+/// Cursor state of one in-progress trace emission.
 #[derive(Clone, Copy, Debug)]
 struct StreamPlan {
     budget: usize,
@@ -289,17 +288,12 @@ impl TraceGenerator {
     }
 
     /// Generates a trace containing exactly `branches` branch events
-    /// (kernel branches included).
-    pub fn generate(&mut self, branches: usize) -> Trace {
-        let mut trace = Trace::new(self.profile.name);
-        let mut plan = StreamPlan::new(branches);
-        let mut slice = Vec::new();
-        while self.step(&mut plan, &mut slice) {
-            for ev in slice.drain(..) {
-                trace.push(ev);
-            }
-        }
-        trace
+    /// (kernel branches included): the [`TraceGenerator::into_source`]
+    /// stream, collected.
+    pub fn generate(self, branches: usize) -> Trace {
+        self.into_source(branches)
+            .collect_trace()
+            .expect("a generator source never fails")
     }
 
     /// Converts the generator into a streaming [`EventSource`] emitting

@@ -211,12 +211,13 @@ pub trait EventSource {
         }
     }
 
-    /// Drains the source into a materialized [`Trace`] (name and events
-    /// preserved). Mostly useful in tests and for small streams.
+    /// Drains the source, batch by batch, into a materialized [`Trace`]
+    /// (name and events preserved).
     fn collect_trace(&mut self) -> Result<Trace, SourceError> {
         let mut t = Trace::new(self.name());
-        while let Some(ev) = self.next_event()? {
-            t.push(ev);
+        let mut buf = Vec::new();
+        while self.next_batch(&mut buf, 4_096)? > 0 {
+            t.extend_from_slice(&buf);
         }
         // Re-read the name: a source may refine it mid-stream (a trace
         // file can carry a late `# trace` header).
