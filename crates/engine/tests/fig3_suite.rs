@@ -8,7 +8,7 @@
 
 use stbpu_bpu::{BaselineMapper, BtbConfig, BtbCoord, Mapper};
 use stbpu_engine::{run_scenarios, ModelCore, ModelRegistry, Scenario};
-use stbpu_predictors::{FullBpu, SklCond};
+use stbpu_predictors::{FullBpu, PerceptronConfig, PerceptronPredictor, SklCond};
 use stbpu_sim::{
     simulate_with, OwnedSession, Protection, SessionOptions, SimOptions, SimReport, Warmup,
 };
@@ -138,10 +138,11 @@ fn stbpu_evaluates_at_most_one_remap_circuit_per_branch() {
 }
 
 /// The baseline mapping functions, counting calls to ①–④ (`btb1`,
-/// `btb2_tag`, `pht1`, `pht2`, in that order).
+/// `btb2_tag`, `pht1`, `pht2`, in that order) and then to the
+/// perceptron's row function (p / Rp).
 #[derive(Default)]
 struct CountingMapper {
-    calls: Cell<[u64; 4]>,
+    calls: Cell<[u64; 5]>,
 }
 
 impl CountingMapper {
@@ -187,6 +188,7 @@ impl Mapper for CountingMapper {
     }
 
     fn perceptron(&self, tid: usize, pc: u64, idx_bits: u32) -> usize {
+        self.count(4);
         BaselineMapper.perceptron(tid, pc, idx_bits)
     }
 }
@@ -218,18 +220,60 @@ fn skl_maps_each_structure_once_per_branch() {
         let before = session.model().mapper().calls.get();
         session.feed_batch(std::slice::from_ref(ev)).unwrap();
         let after = session.model().mapper().calls.get();
-        let d: Vec<u64> = (0..4).map(|f| after[f] - before[f]).collect();
+        let d: Vec<u64> = (0..5).map(|f| after[f] - before[f]).collect();
         match ev {
             TraceEvent::Branch { rec, .. } => {
                 let cond = u64::from(rec.kind.is_conditional());
                 assert_eq!(d[0], 1, "btb1 calls for {rec:?}");
                 assert!(d[1] <= 1, "{} btb2_tag calls for {rec:?}", d[1]);
                 assert_eq!((d[2], d[3]), (cond, cond), "PHT mapping calls for {rec:?}");
+                assert_eq!(d[4], 0, "perceptron calls for {rec:?}");
                 mode2 += d[1];
             }
-            _ => assert_eq!(d, [0; 4], "mapping calls outside a branch ({ev:?})"),
+            _ => assert_eq!(d, [0; 5], "mapping calls outside a branch ({ev:?})"),
         }
     }
     let report = session.finish();
     assert!(trace.thread_count() == 2 && report.flushes > 0 && mode2 > 0);
+}
+
+/// Work counter: the perceptron maps its weight row (p / Rp) once per
+/// conditional branch — `update` trains the row its paired `predict`
+/// mapped — and the rest of the BPU still maps ① once per branch.
+#[test]
+fn perceptron_maps_its_row_once_per_conditional_branch() {
+    let trace = trace_for("apache2_prefork_c128", 30_000);
+    let bpu = FullBpu::new(
+        "Perceptron/counting",
+        PerceptronPredictor::new(PerceptronConfig::default()),
+        CountingMapper::default(),
+        BtbConfig::skylake(),
+        false,
+    );
+    let opts = SessionOptions {
+        warmup: Warmup::Branches(0),
+        ..SessionOptions::default()
+    };
+    let mut session = OwnedSession::new(bpu, Protection::Unprotected, opts).unwrap();
+    session.begin(&trace.name, None).unwrap();
+    let mut conditional = 0;
+    for ev in trace.events() {
+        let before = session.model().mapper().calls.get();
+        session.feed_batch(std::slice::from_ref(ev)).unwrap();
+        let after = session.model().mapper().calls.get();
+        let (btb1, rp) = (after[0] - before[0], after[4] - before[4]);
+        match ev {
+            TraceEvent::Branch { rec, .. } => {
+                let cond = u64::from(rec.kind.is_conditional());
+                assert_eq!((btb1, rp), (1, cond), "btb1/Rp calls for {rec:?}");
+                conditional += cond;
+            }
+            _ => assert_eq!(
+                (btb1, rp),
+                (0, 0),
+                "mapping calls outside a branch ({ev:?})"
+            ),
+        }
+    }
+    assert!(conditional > 0);
 }

@@ -7,7 +7,7 @@
 //! θ = ⌊1.93·h + 14⌋.
 
 use crate::direction::{DirPrediction, DirectionPredictor, Provider};
-use stbpu_bpu::{check_len, HistoryCtx, Mapper, SnapError, StateReader, StateWriter};
+use stbpu_bpu::{check_len, HistoryCtx, Mapper, SnapError, StateReader, StateWriter, MAX_THREADS};
 
 /// Perceptron predictor geometry.
 #[derive(Clone, Copy, Debug)]
@@ -52,6 +52,9 @@ pub struct PerceptronPredictor {
     /// `rows × (history + 1)` weights; index 0 is the bias weight.
     weights: Vec<Vec<i8>>,
     theta: i32,
+    /// Per-thread row computed by `predict` and reused by the paired
+    /// `update` (dead between branches, so never checkpointed).
+    stash: [usize; MAX_THREADS],
 }
 
 impl PerceptronPredictor {
@@ -60,6 +63,7 @@ impl PerceptronPredictor {
         PerceptronPredictor {
             weights: vec![vec![0i8; cfg.history + 1]; 1 << cfg.idx_bits],
             theta: cfg.theta(),
+            stash: [0; MAX_THREADS],
             cfg,
         }
     }
@@ -87,6 +91,7 @@ impl DirectionPredictor for PerceptronPredictor {
 
     fn predict(&mut self, m: &dyn Mapper, tid: usize, pc: u64, h: &HistoryCtx) -> DirPrediction {
         let row = m.perceptron(tid, pc, self.cfg.idx_bits) & ((1 << self.cfg.idx_bits) - 1);
+        self.stash[tid] = row;
         DirPrediction {
             taken: self.sum(row, h.ghr()) >= 0,
             provider: Provider::Perceptron,
@@ -95,14 +100,14 @@ impl DirectionPredictor for PerceptronPredictor {
 
     fn update(
         &mut self,
-        m: &dyn Mapper,
+        _m: &dyn Mapper,
         tid: usize,
-        pc: u64,
+        _pc: u64,
         h: &HistoryCtx,
         taken: bool,
         _pred: DirPrediction,
     ) {
-        let row = m.perceptron(tid, pc, self.cfg.idx_bits) & ((1 << self.cfg.idx_bits) - 1);
+        let row = self.stash[tid];
         let ghr = h.ghr();
         let s = self.sum(row, ghr);
         let predicted = s >= 0;

@@ -109,12 +109,16 @@ pub struct ServeClient {
 
 impl ServeClient {
     /// Connects to `addr` and starts the demultiplexing reader thread.
+    /// The socket runs with `TCP_NODELAY`, so a session's small `Flush`
+    /// frame leaves at once instead of waiting behind the last unacked
+    /// `TraceChunk` for the server's delayed ACK (40 ms on Linux).
     ///
     /// # Errors
     ///
-    /// Propagates connect/clone failures.
+    /// Propagates connect/nodelay/clone failures.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<ServeClient, ServeError> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         let read_half = stream.try_clone()?;
         let inner = Arc::new(Inner {
@@ -462,5 +466,20 @@ impl ChunkEncoder {
     /// Takes whatever is buffered (possibly empty) as a final chunk.
     pub fn flush(&mut self) -> Vec<u8> {
         std::mem::take(self.w.get_mut())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// The client's socket runs with Nagle's algorithm off.
+    #[test]
+    fn client_socket_sets_nodelay() -> Result<(), ServeError> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let client = ServeClient::connect(listener.local_addr()?)?;
+        assert!(client.stream.nodelay()?);
+        Ok(())
     }
 }

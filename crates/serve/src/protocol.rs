@@ -61,39 +61,20 @@ const T_ERROR: u8 = 0x84;
 const T_BACKPRESSURE: u8 = 0x85;
 const T_RESUME: u8 = 0x86;
 
-/// A malformed frame stream, positioned at the absolute byte offset
-/// (counted from the first byte this [`FrameReader`] saw) where the
-/// damage starts — the wire counterpart of
-/// [`stbpu_trace::binfmt::BinTraceError`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WireError {
-    offset: u64,
-    msg: String,
+/// A malformed frame stream: a [`SnapError`] labelled `wire protocol`,
+/// positioned at the absolute byte offset (counted from the first byte
+/// this [`FrameReader`] saw) where the damage starts — the wire
+/// counterpart of [`stbpu_trace::binfmt::BinTraceError`].
+///
+/// The offset is `SnapError`'s `usize`, not a `u64`. On a 64-bit target
+/// that holds every offset a connection can reach; a 32-bit target
+/// saturates offsets past 4 GiB at `usize::MAX` rather than wrapping.
+pub type WireError = SnapError;
+
+/// A [`WireError`] at absolute stream offset `at`.
+fn wire_error(at: u64, msg: String) -> WireError {
+    SnapError::new(usize::try_from(at).unwrap_or(usize::MAX), msg).in_context("wire protocol")
 }
-
-impl WireError {
-    /// Absolute stream offset the failing frame starts at.
-    pub fn offset(&self) -> u64 {
-        self.offset
-    }
-
-    /// The reason, without the position prefix.
-    pub fn message(&self) -> &str {
-        &self.msg
-    }
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "wire protocol error at byte {}: {}",
-            self.offset, self.msg
-        )
-    }
-}
-
-impl std::error::Error for WireError {}
 
 /// Incremental frame splitter: feed it raw socket bytes in any chunking,
 /// pull complete frames (tag + payload, length prefix stripped) out.
@@ -150,24 +131,19 @@ impl FrameReader {
                 self.compact();
                 return Ok(None);
             }
-            Err(e) => {
-                return Err(WireError {
-                    offset: at,
-                    msg: format!("frame length: {e}"),
-                })
-            }
+            Err(e) => return Err(wire_error(at, format!("frame length: {e}"))),
         };
         if len == 0 {
-            return Err(WireError {
-                offset: at,
-                msg: "frame length 0 (a frame is at least its tag byte)".to_string(),
-            });
+            return Err(wire_error(
+                at,
+                "frame length 0 (a frame is at least its tag byte)".to_string(),
+            ));
         }
         if len > MAX_FRAME as u64 {
-            return Err(WireError {
-                offset: at,
-                msg: format!("declared frame length {len} exceeds the {MAX_FRAME}-byte cap"),
-            });
+            return Err(wire_error(
+                at,
+                format!("declared frame length {len} exceeds the {MAX_FRAME}-byte cap"),
+            ));
         }
         let len = len as usize;
         let Some(body) = avail.get(n..n + len) else {
@@ -804,20 +780,26 @@ mod tests {
         push_varint(&mut wire, (MAX_FRAME + 1) as u64);
         r.extend(&wire);
         let e = r.next_frame().unwrap_err();
-        assert_eq!(e.offset(), 0);
+        assert_eq!(e.offset, 0);
         assert!(e.to_string().contains("exceeds"), "{e}");
 
         // Zero length, after one valid frame (offset must point past it).
         let mut wire = Vec::new();
         ClientMsg::Flush { session: 1 }.encode(&mut wire);
-        let valid_len = wire.len() as u64;
+        let valid_len = wire.len();
         wire.push(0);
         let mut r = FrameReader::new();
         r.extend(&wire);
         assert!(r.next_frame().unwrap().is_some());
         let e = r.next_frame().unwrap_err();
-        assert_eq!(e.offset(), valid_len);
-        assert!(e.to_string().contains("length 0"), "{e}");
+        assert_eq!(e.offset, valid_len);
+        assert_eq!(
+            e.to_string(),
+            format!(
+                "wire protocol error at byte {valid_len}: \
+                 frame length 0 (a frame is at least its tag byte)"
+            )
+        );
     }
 
     #[test]

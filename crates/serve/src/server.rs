@@ -156,19 +156,20 @@ struct ConnInfo {
 /// sweep all push frames through it.
 ///
 /// Sending is split in two so no socket I/O ever happens under the
-/// global state lock: [`ConnWriter::queue_msg`] encodes onto a FIFO
-/// (cheap, lock-safe — wire order is queue order, which under the state
-/// lock is state-transition order, keeping e.g. `Backpressure` ahead of
-/// its `Resume`), and [`ConnWriter::flush`] drains the FIFO to the
-/// socket and must only run with no state lock held. The socket carries
-/// the configured write timeout, so a peer that stops reading fails the
-/// write in bounded time; the failure marks the writer dead and shuts
-/// the socket down, which the reader notices and turns into a full
-/// connection teardown — releasing any sessions (and therefore workers)
-/// the stalled peer was holding.
+/// global state lock: [`ConnWriter::queue_msg`] encodes onto the end of
+/// a pending byte buffer (cheap, lock-safe — wire order is queue order,
+/// which under the state lock is state-transition order, keeping e.g.
+/// `Backpressure` ahead of its `Resume`), and [`ConnWriter::flush`]
+/// writes the buffer to the socket and must only run with no state lock
+/// held. The socket carries the configured write timeout, so a peer that
+/// stops reading fails the write in bounded time; the failure marks the
+/// writer dead and shuts the socket down, which the reader notices and
+/// turns into a full connection teardown — releasing any sessions (and
+/// therefore workers) the stalled peer was holding.
 #[derive(Clone)]
 struct ConnWriter {
-    queue: Arc<Mutex<VecDeque<Vec<u8>>>>,
+    /// Encoded frames not yet written, in wire order.
+    queue: Arc<Mutex<Vec<u8>>>,
     stream: Arc<Mutex<TcpStream>>,
     dead: Arc<AtomicBool>,
 }
@@ -176,7 +177,7 @@ struct ConnWriter {
 impl ConnWriter {
     fn new(stream: TcpStream) -> ConnWriter {
         ConnWriter {
-            queue: Arc::new(Mutex::new(VecDeque::new())),
+            queue: Arc::new(Mutex::new(Vec::new())),
             stream: Arc::new(Mutex::new(stream)),
             dead: Arc::new(AtomicBool::new(false)),
         }
@@ -189,37 +190,35 @@ impl ConnWriter {
         if self.dead.load(Ordering::Relaxed) {
             return;
         }
-        let mut wire = Vec::new();
-        msg.encode(&mut wire);
         if let Ok(mut q) = self.queue.lock() {
-            q.push_back(wire);
+            msg.encode(&mut q);
         }
     }
 
-    /// Writes every queued frame in FIFO order. Blocks up to the write
-    /// timeout per syscall, so it must never run with the state lock
-    /// held. A failed or timed-out write kills the writer and shuts the
-    /// socket down; the reader thread then cleans the connection up —
+    /// Writes every queued frame, in queue order, with one `write_all`.
+    /// The socket runs with `TCP_NODELAY`, so a write per frame would put
+    /// each `Interval` of a burst and its `Report` in a segment of its
+    /// own; one write per flush sends the burst together. Blocks up to
+    /// the write timeout per syscall, so it must never run with the state
+    /// lock held. A failed or timed-out write kills the writer and shuts
+    /// the socket down; the reader thread then cleans the connection up —
     /// a dead peer is not an error worth propagating.
     fn flush(&self) {
         let Ok(mut s) = self.stream.lock() else {
             return;
         };
-        while !self.dead.load(Ordering::Relaxed) {
-            // Only the stream-lock holder pops, so frames hit the wire
-            // in queue order even with concurrent flushers.
-            let frame = match self.queue.lock() {
-                Ok(mut q) => match q.pop_front() {
-                    Some(f) => f,
-                    None => return,
-                },
-                Err(_) => return,
-            };
-            if s.write_all(&frame).is_err() {
-                self.dead.store(true, Ordering::Relaxed);
-                let _ = s.shutdown(Shutdown::Both);
-                return;
-            }
+        // Only the stream-lock holder drains, so frames hit the wire in
+        // queue order even with concurrent flushers.
+        let wire = match self.queue.lock() {
+            Ok(mut q) => std::mem::take(&mut *q),
+            Err(_) => return,
+        };
+        if wire.is_empty() || self.dead.load(Ordering::Relaxed) {
+            return;
+        }
+        if s.write_all(&wire).is_err() {
+            self.dead.store(true, Ordering::Relaxed);
+            let _ = s.shutdown(Shutdown::Both);
         }
     }
 
@@ -256,6 +255,10 @@ struct Shared {
     registry: ModelRegistry,
     state: Mutex<State>,
     work: Condvar,
+    /// Wakes the accept loop out of its poll wait at shutdown.
+    stop: Condvar,
+    /// Set under the `state` lock, so a thread that checks it under that
+    /// lock and then waits on `work` or `stop` cannot miss the wakeup.
     shutdown: AtomicBool,
     next_conn: AtomicU64,
 }
@@ -277,8 +280,16 @@ impl ServerHandle {
     /// Stops accepting, wakes every thread, and joins the pool. Live
     /// sessions are aborted, not finished.
     pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        {
+            let _st = self
+                .shared
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.work.notify_all();
+        self.shared.stop.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -310,6 +321,7 @@ pub fn spawn(addr: &str, cfg: ServerConfig) -> io::Result<ServerHandle> {
             conns: BTreeMap::new(),
         }),
         work: Condvar::new(),
+        stop: Condvar::new(),
         shutdown: AtomicBool::new(false),
         next_conn: AtomicU64::new(1),
     });
@@ -327,8 +339,9 @@ pub fn spawn(addr: &str, cfg: ServerConfig) -> io::Result<ServerHandle> {
     })
 }
 
-/// Accepts connections (nonblocking + sleep so shutdown is prompt) and
-/// runs the idle-session sweep between polls.
+/// Accepts connections (nonblocking, polled every 10 ms) and runs the
+/// idle-session sweep between polls. The poll waits on the `stop`
+/// condvar rather than sleeping, so shutdown ends it at once.
 fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
     let mut last_sweep = Instant::now();
     while !shared.shutdown.load(Ordering::SeqCst) {
@@ -341,10 +354,12 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
                 // own, and the Arc keeps the state alive until they do.
                 thread::spawn(move || conn_loop(&sh, stream, conn_id));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
+            Err(_) => {
+                let st = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
+                if !shared.shutdown.load(Ordering::SeqCst) {
+                    drop(shared.stop.wait_timeout(st, Duration::from_millis(10)));
+                }
             }
-            Err(_) => thread::sleep(Duration::from_millis(10)),
         }
         if last_sweep.elapsed() >= Duration::from_millis(250) {
             sweep_idle(shared);
@@ -408,9 +423,12 @@ fn settle_removed(st: &mut State, conn_id: u64, slot: &Slot) {
 /// Per-connection reader: splits frames, dispatches messages, owns the
 /// connection's lifetime.
 fn conn_loop(shared: &Arc<Shared>, stream: TcpStream, conn_id: u64) {
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .is_err()
+    // TCP_NODELAY: a `Report` must not wait behind its unacknowledged
+    // `Interval` frames for the peer's delayed ACK (40 ms on Linux).
+    if stream.set_nodelay(true).is_err()
+        || stream
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .is_err()
     {
         return;
     }
@@ -849,11 +867,12 @@ fn advance_session(shared: &Shared, key: Key) {
                 break;
             }
             for window in engine.sim.take_intervals() {
-                writer.send(&ServerMsg::Interval {
+                writer.queue_msg(&ServerMsg::Interval {
                     session: key.1,
                     window,
                 });
             }
+            writer.flush();
         }
     }
 
@@ -885,11 +904,12 @@ fn advance_session(shared: &Shared, key: Key) {
             Ok(()) => {
                 let (report, intervals) = sim.finish_with_intervals();
                 for window in intervals {
-                    writer.send(&ServerMsg::Interval {
+                    writer.queue_msg(&ServerMsg::Interval {
                         session: key.1,
                         window,
                     });
                 }
+                // The windows and the report leave in one write.
                 writer.send(&ServerMsg::Report {
                     session: key.1,
                     report: WireReport::from(&report),

@@ -30,7 +30,7 @@ proptest! {
                     Ok(None) => break,
                     Err(e) => {
                         // The offset must point inside what we fed.
-                        prop_assert!(e.offset() <= bytes.len() as u64);
+                        prop_assert!(e.offset <= bytes.len());
                         break 'outer;
                     }
                 }
@@ -85,7 +85,7 @@ proptest! {
         let mut r = FrameReader::new();
         r.extend(&wire);
         let e = r.next_frame().expect_err("over-cap length must error");
-        prop_assert_eq!(e.offset(), 0);
+        prop_assert_eq!(e.offset, 0);
     }
 }
 

@@ -1,6 +1,6 @@
 //! End-to-end daemon tests over real loopback sockets: bit-parity with
 //! offline simulation, malicious-client containment, quota enforcement,
-//! and idle-session reaping.
+//! idle-session reaping, and session and shutdown latency.
 
 use stbpu_engine::{auto_protection, ModelRegistry};
 use stbpu_serve::client::{ChunkEncoder, ServeClient};
@@ -11,7 +11,7 @@ use stbpu_sim::{IntervalWindow, OwnedSession, SessionOptions, SimReport, Warmup}
 use stbpu_trace::{profiles, EventSource, TraceEvent, TraceGenerator};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const MODEL: &str = "st_skl";
 const WORKLOAD: &str = "541.leela";
@@ -26,15 +26,37 @@ struct Fixture {
     intervals: Vec<IntervalWindow>,
 }
 
-fn fixture(interval: Option<u64>) -> Fixture {
+/// `branches` generated branches of [`WORKLOAD`].
+fn events(branches: usize) -> Vec<TraceEvent> {
     let profile = profiles::by_name(WORKLOAD).expect("workload exists");
-    let mut source = TraceGenerator::new(profile, SEED).into_source(BRANCHES);
+    let mut source = TraceGenerator::new(profile, SEED).into_source(branches);
     let mut events: Vec<TraceEvent> = Vec::new();
     let collected: Result<(), stbpu_trace::SourceError> = source.for_each_batch(4_096, |b| {
         events.extend_from_slice(b);
         Ok(())
     });
     collected.unwrap();
+    events
+}
+
+/// The events as 4 KiB wire chunks.
+fn chunks(events: &[TraceEvent]) -> Vec<Vec<u8>> {
+    let mut enc = ChunkEncoder::new(4 << 10);
+    let mut chunks = Vec::new();
+    for ev in events {
+        if let Some(c) = enc.push(ev).unwrap() {
+            chunks.push(c);
+        }
+    }
+    let tail = enc.flush();
+    if !tail.is_empty() {
+        chunks.push(tail);
+    }
+    chunks
+}
+
+fn fixture(interval: Option<u64>) -> Fixture {
+    let events = events(BRANCHES);
 
     let model = ModelRegistry::standard().build(MODEL, SEED).unwrap();
     let mut sim = OwnedSession::new(
@@ -50,20 +72,8 @@ fn fixture(interval: Option<u64>) -> Fixture {
     .unwrap();
     sim.feed_batch(&events).unwrap();
     let (report, intervals) = sim.finish_with_intervals();
-
-    let mut enc = ChunkEncoder::new(4 << 10);
-    let mut chunks = Vec::new();
-    for ev in &events {
-        if let Some(c) = enc.push(ev).unwrap() {
-            chunks.push(c);
-        }
-    }
-    let tail = enc.flush();
-    if !tail.is_empty() {
-        chunks.push(tail);
-    }
     Fixture {
-        chunks,
+        chunks: chunks(&events),
         report,
         intervals,
     }
@@ -422,4 +432,69 @@ fn idle_sessions_are_reaped() {
     drop(client);
     drop(active_client);
     server.shutdown();
+}
+
+/// The middle of an odd number of samples.
+fn median(mut times: Vec<Duration>) -> Duration {
+    times.sort();
+    times[times.len() / 2]
+}
+
+/// A served session costs its compute time, not a delayed ACK. With
+/// Nagle's algorithm on at either end, a session's small `Flush` (client
+/// side) or its `Report` behind a burst of `Interval` frames (server
+/// side) waits for the peer's delayed ACK — 40 ms at least on Linux. So
+/// 21 back-to-back ~5k-branch sessions on one connection, without and
+/// with streamed intervals, must each have a median well under that.
+#[test]
+fn sessions_do_not_wait_for_delayed_acks() {
+    let chunks = chunks(&events(5_000));
+    let server = spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let client = ServeClient::connect(server.addr()).unwrap();
+    let mut medians = Vec::new();
+    for interval in [0, 500] {
+        let mut times = Vec::new();
+        for i in 0..21 {
+            let start = Instant::now();
+            let mut session = client
+                .open(Hello {
+                    model: "skl".to_string(),
+                    ..hello(interval + i + 1, interval)
+                })
+                .unwrap();
+            for chunk in &chunks {
+                session.send_chunk(chunk).unwrap();
+            }
+            let (report, _) = session.finish().unwrap();
+            times.push(start.elapsed());
+            assert_eq!(report.model, "SKLCond");
+        }
+        medians.push((interval, median(times)));
+    }
+    drop(client);
+    server.shutdown();
+    assert!(
+        medians.iter().all(|m| m.1 < Duration::from_millis(20)),
+        "median session time per interval setting: {medians:?}"
+    );
+}
+
+/// Shutdown wakes the accept loop out of its poll wait instead of
+/// joining it mid-sleep: over 21 spawn → connect → shutdown cycles, the
+/// median shutdown takes well under the 10 ms poll period.
+#[test]
+fn shutdown_does_not_wait_out_the_accept_poll() {
+    let mut times = Vec::new();
+    for _ in 0..21 {
+        let server = spawn("127.0.0.1:0", ServerConfig::default()).unwrap();
+        drop(ServeClient::connect(server.addr()).unwrap());
+        let start = Instant::now();
+        server.shutdown();
+        times.push(start.elapsed());
+    }
+    let median = median(times.clone());
+    assert!(
+        median < Duration::from_millis(5),
+        "median shutdown {median:?} (all {times:?})"
+    );
 }
