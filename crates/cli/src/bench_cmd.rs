@@ -12,7 +12,7 @@
 //!   regressions against the committed `ci/baseline.json` with a tight
 //!   tolerance while wall-clock numbers remain informational.
 //! * `--suite throughput` runs each scheme through both the batched
-//!   session path (`run`, internal event buffer, no-observer fast path)
+//!   session path (`run`, reused event buffers, no-observer fast path)
 //!   and the unbatched reference path (`next_event` + `feed` per event),
 //!   hard-fails unless both produce bit-identical results, and emits
 //!   `BENCH_throughput.json` with branches/s for each path. Against a
@@ -209,7 +209,9 @@ pub fn run(rest: &[String]) -> Result<(), Failure> {
             "--estimate-only/--update-reference apply only to the simpoint suite".to_string(),
         ));
     }
-    let out_dir = a.opt("--out-dir")?.unwrap_or_else(|| ".".to_string());
+    let out_dir = a
+        .opt("--out-dir")?
+        .unwrap_or_else(|| "bench-artifacts".to_string());
     // The ingest suite defaults to the paper-scale 10M-branch trace the
     // format was built for; everything else keeps the 2M default.
     let default_branches = match (suite, quick) {

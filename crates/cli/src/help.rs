@@ -321,7 +321,8 @@ baseline gate compares.
   --workload NAME       workload profile (default 541.leela)
   --clients N           serve suite: concurrent socket clients (default 8)
   --sessions N          serve suite: sessions per client (default 2)
-  --out-dir DIR         where BENCH_*.json records go (default .)
+  --out-dir DIR         where BENCH_*.json records go (default
+                        bench-artifacts)
   --json                print the combined record array on stdout
   --check FILE          fail (exit 1) if any scheme's OAE drifts from the
                         committed baseline beyond --tolerance

@@ -124,7 +124,7 @@ fn inspect(rest: &[String]) -> Result<(), Failure> {
     };
 
     if path == "-" {
-        let src = open_trace_stream(std::io::stdin().lock(), "<stdin>")
+        let src = open_trace_stream(std::io::stdin(), "<stdin>")
             .map_err(|e| Failure::Runtime(e.to_string()))?;
         let format = src.format();
         return inspect_source(src, format, None, "<stdin>", json);

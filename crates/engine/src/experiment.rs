@@ -317,7 +317,7 @@ impl Experiment {
     /// Adds a custom source-factory workload.
     pub fn source<F>(self, name: &str, factory: F) -> Self
     where
-        F: Fn(u64, usize) -> Box<dyn EventSource + Send> + Send + Sync + 'static,
+        F: Fn(u64, usize) -> Box<dyn EventSource> + Send + Sync + 'static,
     {
         self.add_workload(Workload::custom(name, factory))
     }

@@ -1,5 +1,6 @@
 //! Work-stealing parallel map used by the experiment runner and harnesses.
 
+use stbpu_sim::BusyCores;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs `job` over `items` on all available cores, preserving input order.
@@ -24,6 +25,10 @@ where
         .map(|p| p.get())
         .unwrap_or(4)
         .min(n);
+    // A session's `run` in a job claims its worker's core; claim the other
+    // workers' cores before the first starts, so that no `run` takes a core
+    // for a helper thread while the workers fill the cores.
+    let _busy = BusyCores::claim(workers - 1);
     let next = AtomicUsize::new(0);
 
     let mut buckets: Vec<Vec<(usize, R)>> = Vec::with_capacity(workers);
@@ -87,6 +92,57 @@ mod tests {
         });
         assert_eq!(out.len(), 64);
         assert_eq!(out[63], 63);
+    }
+
+    #[test]
+    fn workers_that_fill_the_cores_pull_their_runs_in_line() {
+        use stbpu_predictors::skl_baseline;
+        use stbpu_sim::{OwnedSession, Protection, SessionOptions};
+        use stbpu_trace::{
+            EventSource, GeneratorSource, SourceError, TraceEvent, TraceGenerator, WorkloadProfile,
+        };
+        use std::thread::ThreadId;
+
+        /// A generator that records whether it was pulled off `caller`.
+        struct Watched {
+            inner: GeneratorSource,
+            caller: ThreadId,
+            pulled_elsewhere: bool,
+        }
+
+        impl EventSource for Watched {
+            fn name(&self) -> &str {
+                self.inner.name()
+            }
+
+            fn thread_count(&self) -> usize {
+                self.inner.thread_count()
+            }
+
+            fn branch_hint(&self) -> Option<u64> {
+                self.inner.branch_hint()
+            }
+
+            fn next_event(&mut self) -> Result<Option<TraceEvent>, SourceError> {
+                self.pulled_elsewhere |= std::thread::current().id() != self.caller;
+                self.inner.next_event()
+            }
+        }
+
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let pulled_elsewhere = parallel_map((0..2 * cores as u64).collect(), |&seed| {
+            let mut source = Watched {
+                inner: TraceGenerator::new(&WorkloadProfile::test_profile(), seed)
+                    .into_source(20_000),
+                caller: std::thread::current().id(),
+                pulled_elsewhere: false,
+            };
+            let opts = SessionOptions::default();
+            let mut s = OwnedSession::new(skl_baseline(), Protection::Unprotected, opts).unwrap();
+            s.run(&mut source).unwrap();
+            source.pulled_elsewhere
+        });
+        assert_eq!(pulled_elsewhere, vec![false; 2 * cores]);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// A factory producing one event source per `(seed, branches)` request.
-pub type SourceFactory = dyn Fn(u64, usize) -> Box<dyn EventSource + Send> + Send + Sync;
+pub type SourceFactory = dyn Fn(u64, usize) -> Box<dyn EventSource> + Send + Sync;
 
 /// One workload of an experiment grid: a named supplier of event streams.
 #[derive(Clone)]
@@ -80,7 +80,7 @@ impl Workload {
     /// A custom-factory workload.
     pub fn custom<F>(name: &str, factory: F) -> Self
     where
-        F: Fn(u64, usize) -> Box<dyn EventSource + Send> + Send + Sync + 'static,
+        F: Fn(u64, usize) -> Box<dyn EventSource> + Send + Sync + 'static,
     {
         Workload::Custom {
             name: name.to_string(),

@@ -67,7 +67,7 @@ mod session;
 
 pub use checkpoint::{Checkpoint, CheckpointError, STCK_MAGIC, STCK_VERSION};
 pub use observer::{FlushKind, IntervalRecorder, IntervalWindow, SimObserver};
-pub use session::{OwnedSession, SessionOptions, SimSession, Warmup};
+pub use session::{BusyCores, OwnedSession, SessionOptions, SimSession, Warmup};
 
 use stbpu_bpu::Bpu;
 use stbpu_trace::{SourceError, Trace};

@@ -32,7 +32,9 @@
 use crate::observer::{FlushKind, IntervalWindow, SimObserver};
 use crate::{Protection, SimError, SimReport};
 use stbpu_bpu::{check_len, Bpu, EntityId, SnapError, StateReader, StateWriter};
-use stbpu_trace::{EventSource, TraceEvent};
+use stbpu_trace::{EventSource, SourceError, TraceEvent};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, OnceLock};
 
 /// Warm-up policy for a session: the structures train without counting
 /// toward statistics until the warm-up budget is spent.
@@ -79,8 +81,61 @@ impl Default for SessionOptions {
 
 /// Events pulled per [`EventSource::next_batch`] refill inside
 /// [`SimSession::run`] — large enough to amortize per-batch overhead,
-/// small enough to stay cache-resident (~100 KB of events).
-const RUN_BATCH: usize = 4_096;
+/// small enough (32 KiB of events) that a batch the helper thread just
+/// wrote is still in the shared cache when the simulating thread reads it.
+/// The in-line pull uses the same size, so that a source that fails
+/// mid-stream leaves the same events fed whether or not a core was spare.
+const RUN_BATCH: usize = 1_024;
+
+/// Buffers in the ring `run` pulls ahead into: how many batches the
+/// source may run ahead of the simulator. On a 2-core host eight ran
+/// fig3-generated no faster than four and held ~0.2 MB more.
+const RING: usize = 4;
+
+/// Capacity of each pull-ahead buffer: a batch, plus room for a source
+/// that steps past `max` before handing the excess back (the generator
+/// steps whole kernel excursions, under 100 events), so that no buffer is
+/// reallocated while it is filled.
+const BUF_CAPACITY: usize = RUN_BATCH + RUN_BATCH / 8;
+
+/// Cores counted busy, process-wide: one per `run` loop in progress, plus
+/// those held by [`BusyCores`] claims. A statistic that publishes no other
+/// data, so every access is `Relaxed`.
+static BUSY: AtomicUsize = AtomicUsize::new(0);
+
+/// Counts cores as busy for as long as it lives, in the rule by which
+/// [`SimSession::run`] decides whether to pull ahead on a helper thread:
+/// only while 2 × busy ≤ [`std::thread::available_parallelism`]. Every
+/// `run` claims one core for itself. A pool that is about to start `w`
+/// workers whose jobs may call `run` claims `w - 1` more before the first
+/// worker starts: then the first `run` already sees the whole pool, and a
+/// pool that fills the cores never spawns a helper.
+#[must_use = "the cores are counted busy only while the claim lives"]
+pub struct BusyCores(usize);
+
+impl BusyCores {
+    /// Counts `cores` more cores busy until the claim is dropped.
+    pub fn claim(cores: usize) -> Self {
+        BUSY.fetch_add(cores, Ordering::Relaxed);
+        BusyCores(cores)
+    }
+}
+
+impl Drop for BusyCores {
+    fn drop(&mut self) {
+        BUSY.fetch_sub(self.0, Ordering::Relaxed);
+    }
+}
+
+/// Whether a `run` that has claimed its own core may take one more for a
+/// helper thread: 2 × busy ≤ available parallelism, so that every busy
+/// core could have a partner. Pool workers that fill the cores and one-CPU
+/// hosts read false, so they pull in-line.
+fn core_spare() -> bool {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    2 * BUSY.load(Ordering::Relaxed) <= cores
+}
 
 /// All session state and logic that does not depend on how the model is
 /// held. [`SimSession`] (borrowed model + borrowed observers) and
@@ -101,9 +156,6 @@ struct SessionCore {
     window: IntervalWindow,
     last_rerand: u64,
     workload: Option<String>,
-    /// Reused pull buffer for `run` — one allocation per session, no
-    /// per-batch churn.
-    batch_buf: Vec<TraceEvent>,
     /// When true, closed interval windows are retained in `recorded`
     /// (the observer-free mechanism [`OwnedSession`] uses).
     record_intervals: bool,
@@ -154,7 +206,6 @@ impl SessionCore {
             window: IntervalWindow::default(),
             last_rerand,
             workload: opts.workload,
-            batch_buf: Vec::new(),
             record_intervals,
             recorded: Vec::new(),
         })
@@ -319,8 +370,7 @@ impl SessionCore {
 
     /// Serializes every field a resumed session needs to continue the
     /// stream bit-identically. The policy lives in the checkpoint envelope
-    /// (the session is re-opened under it before loading), and `batch_buf`
-    /// is a scratch buffer that is always empty between events.
+    /// (the session is re-opened under it before loading).
     fn save_state(&self, w: &mut StateWriter) {
         w.usize(self.threads);
         for e in &self.user_entity {
@@ -408,27 +458,112 @@ impl SessionCore {
         Ok(())
     }
 
+    /// Pumps `source` to exhaustion: pulled ahead on a helper thread when
+    /// the source does work to pull (it is not [`EventSource::in_memory`])
+    /// and a core is spare ([`core_spare`]) as the run starts, in-line
+    /// otherwise.
     fn run<B: Bpu + ?Sized>(
         &mut self,
         model: &mut B,
         obs: &mut [&mut dyn SimObserver],
         source: &mut dyn EventSource,
     ) -> Result<(), SimError> {
+        let _busy = BusyCores::claim(1);
+        let ahead = !source.in_memory() && core_spare();
+        self.pump(model, obs, source, ahead)
+    }
+
+    /// `run`'s loop, pulled ahead ([`SessionCore::pull_ahead`]) or in-line.
+    /// Both feed each batch through [`SessionCore::feed_pulled`], in stream
+    /// order, so the two are bit-identical.
+    fn pump<B: Bpu + ?Sized>(
+        &mut self,
+        model: &mut B,
+        obs: &mut [&mut dyn SimObserver],
+        source: &mut dyn EventSource,
+        ahead: bool,
+    ) -> Result<(), SimError> {
         self.begin(source.name(), source.branch_hint())?;
-        let mut buf = std::mem::take(&mut self.batch_buf);
-        let result = loop {
-            match source.next_batch(&mut buf, RUN_BATCH) {
-                Err(e) => break Err(SimError::from(e)),
-                Ok(0) => break Ok(()),
-                Ok(_) => {
-                    if let Err(e) = self.feed_batch(model, obs, &buf) {
-                        break Err(e);
+        if ahead {
+            if let Some(fed) = self.pull_ahead(model, obs, &mut *source) {
+                return fed;
+            }
+        }
+        let mut buf = Vec::with_capacity(BUF_CAPACITY);
+        while self.feed_pulled(model, obs, source.next_batch(&mut buf, RUN_BATCH), &buf)? {}
+        Ok(())
+    }
+
+    /// The loop body shared by the in-line and the pulled-ahead pump: feeds
+    /// one pulled batch and says whether the stream goes on.
+    fn feed_pulled<B: Bpu + ?Sized>(
+        &mut self,
+        model: &mut B,
+        obs: &mut [&mut dyn SimObserver],
+        pulled: Result<usize, SourceError>,
+        buf: &[TraceEvent],
+    ) -> Result<bool, SimError> {
+        match pulled {
+            Err(e) => Err(SimError::from(e)),
+            Ok(0) => Ok(false),
+            Ok(_) => self.feed_batch(model, obs, buf).map(|()| true),
+        }
+    }
+
+    /// Feeds the whole stream while a scoped helper thread pulls it from
+    /// `source` into a ring of [`RING`] reused buffers, handed over through
+    /// two bounded channels. `None` when the helper cannot be spawned,
+    /// before anything was pulled. After an error the source may have been
+    /// pulled up to [`RING`] batches past the events fed. A panic in the
+    /// source resumes here.
+    fn pull_ahead<B: Bpu + ?Sized>(
+        &mut self,
+        model: &mut B,
+        obs: &mut [&mut dyn SimObserver],
+        source: &mut dyn EventSource,
+    ) -> Option<Result<(), SimError>> {
+        let (free_tx, free_rx) = mpsc::sync_channel::<Vec<TraceEvent>>(RING);
+        let (full_tx, full_rx) = mpsc::sync_channel(RING);
+        for _ in 0..RING {
+            // Allocated here; the helper hands back its receiver, so the
+            // buffers left in the ring are freed here too.
+            free_tx
+                .send(Vec::with_capacity(BUF_CAPACITY))
+                .expect("the receiver is alive and the channel holds the ring");
+        }
+        std::thread::scope(|s| {
+            let pull = move || {
+                for mut buf in free_rx.iter() {
+                    let pulled = source.next_batch(&mut buf, RUN_BATCH);
+                    let last = !matches!(pulled, Ok(n) if n > 0);
+                    if full_tx.send((buf, pulled)).is_err() || last {
+                        break;
                     }
                 }
+                free_rx
+            };
+            let helper = std::thread::Builder::new().spawn_scoped(s, pull).ok()?;
+            let fed = loop {
+                // A closed channel means the helper panicked; the join
+                // resumes the panic.
+                let Ok((buf, pulled)) = full_rx.recv() else {
+                    break Ok(());
+                };
+                match self.feed_pulled(model, obs, pulled, &buf) {
+                    Ok(true) => {}
+                    done => break done.map(drop),
+                }
+                // The ring holds every buffer, so this never blocks.
+                let _ = free_tx.send(buf);
+            };
+            // Unblocks a helper still pulling after an error.
+            drop((free_tx, full_rx));
+            match helper.join() {
+                Ok(free_rx) => drop(free_rx),
+                Err(panic) => std::panic::resume_unwind(panic),
             }
-        };
-        self.batch_buf = buf;
-        result
+            Some(fed)
+        })
     }
 
     fn finish<B: Bpu + ?Sized>(
@@ -476,8 +611,9 @@ impl SessionCore {
 /// virtually; instantiating with a concrete model — e.g. the engine's
 /// sealed `ModelCore` enum — monomorphizes the hot loop so predictor,
 /// mapper and BTB calls inline. [`SimSession::run`] pulls events in
-/// batches and [`SimSession::feed_batch`] takes a no-observer fast path
-/// that skips all hook bookkeeping; both are bit-identical to per-event
+/// batches — on a helper thread while a core is spare — and
+/// [`SimSession::feed_batch`] takes a no-observer fast path that skips all
+/// hook bookkeeping; both are bit-identical to per-event
 /// [`SimSession::feed`] (test-enforced), they only cost less.
 ///
 /// ```
@@ -571,16 +707,30 @@ impl<'a, B: Bpu + ?Sized> SimSession<'a, B> {
     }
 
     /// Pumps `source` to exhaustion through the session, pulling events
-    /// in batches (via [`EventSource::next_batch`] into a reused internal
-    /// buffer) and feeding them through [`SimSession::feed_batch`].
-    /// Resolves a pending fractional warm-up from the source's branch
-    /// hint and takes the source's name as the workload label if none was
-    /// set.
+    /// in batches (via [`EventSource::next_batch`] into reused buffers)
+    /// and feeding them through [`SimSession::feed_batch`], in stream
+    /// order. Resolves a pending fractional warm-up from the source's
+    /// branch hint and takes the source's name as the workload label if
+    /// none was set.
+    ///
+    /// When the source does work to pull (it is not
+    /// [`EventSource::in_memory`]) and a core is spare as the call starts,
+    /// a scoped helper thread pulls up to four batches ahead while this
+    /// thread simulates, so generation or decoding overlaps simulation. A
+    /// core is spare while 2 × busy ≤ [`std::thread::available_parallelism`],
+    /// where busy counts the `run` calls in progress in the process and the
+    /// cores held by [`BusyCores`] claims (the engine's `parallel_map`
+    /// claims its workers'). Otherwise — a grid whose workers fill the
+    /// cores, a one-CPU host, an in-memory trace — the batches are pulled
+    /// in-line on this thread. Results, observer callbacks and errors are
+    /// the same either way; no thread outlives the call, and a panic in the
+    /// source propagates.
     ///
     /// # Errors
     ///
     /// [`SimError::Source`] when the source fails mid-stream, plus
-    /// everything [`SimSession::feed`] can return.
+    /// everything [`SimSession::feed`] can return. After an error the
+    /// source may have been pulled a few batches past the events fed.
     pub fn run(&mut self, source: &mut dyn EventSource) -> Result<(), SimError> {
         self.core.run(self.model, &mut self.observers, source)
     }
@@ -744,7 +894,8 @@ impl<B: Bpu> OwnedSession<B> {
         self.core.feed_batch(&mut self.model, &mut [], events)
     }
 
-    /// Pumps `source` to exhaustion — see [`SimSession::run`].
+    /// Pumps `source` to exhaustion — see [`SimSession::run`], which also
+    /// says when the batches are pulled on a helper thread.
     ///
     /// # Errors
     ///
@@ -793,7 +944,7 @@ mod tests {
     use crate::observer::IntervalRecorder;
     use stbpu_bpu::{BranchOutcome, BranchRecord};
     use stbpu_predictors::skl_baseline;
-    use stbpu_trace::{profiles, TraceGenerator, WorkloadProfile};
+    use stbpu_trace::{profiles, Trace, TraceGenerator, WorkloadProfile};
 
     fn opts_nowarm() -> SessionOptions {
         SessionOptions {
@@ -1045,6 +1196,227 @@ mod tests {
             c.switches as usize >= trace.context_switches(),
             "every context switch observed"
         );
+    }
+
+    /// A source that passes `inner` through until `after` events, then
+    /// fails with a source error or panics.
+    struct Stops<S> {
+        inner: S,
+        after: usize,
+        panics: bool,
+    }
+
+    impl<S: EventSource> EventSource for Stops<S> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn thread_count(&self) -> usize {
+            self.inner.thread_count()
+        }
+
+        fn branch_hint(&self) -> Option<u64> {
+            self.inner.branch_hint()
+        }
+
+        fn next_event(&mut self) -> Result<Option<TraceEvent>, SourceError> {
+            if self.after == 0 {
+                assert!(!self.panics, "source gave out");
+                return Err(SourceError("gave out".to_string()));
+            }
+            self.after -= 1;
+            self.inner.next_event()
+        }
+    }
+
+    /// What one pump over a source ended with: its error text, the
+    /// report and the interval windows.
+    type Outcome = (Option<String>, SimReport, Vec<IntervalWindow>);
+
+    /// Pumps `source` through an owned ucode1 session with 700-branch
+    /// windows, pulled ahead or in-line.
+    fn pump_with(source: &mut dyn EventSource, threads: Option<usize>, ahead: bool) -> Outcome {
+        let opts = SessionOptions {
+            warmup: Warmup::Branches(300),
+            threads,
+            interval: Some(700),
+            workload: None,
+        };
+        let mut s = OwnedSession::new(skl_baseline(), Protection::Ucode1, opts).unwrap();
+        let err = s
+            .core
+            .pump(&mut s.model, &mut [], source, ahead)
+            .err()
+            .map(|e| e.to_string());
+        let (report, windows) = s.finish_with_intervals();
+        (err, report, windows)
+    }
+
+    /// The in-line and the pulled-ahead pump, each over a fresh source.
+    fn both_pumps<'a>(
+        make: &dyn Fn() -> Box<dyn EventSource + 'a>,
+        threads: Option<usize>,
+    ) -> [Outcome; 2] {
+        [
+            pump_with(make().as_mut(), threads, false),
+            pump_with(make().as_mut(), threads, true),
+        ]
+    }
+
+    fn assert_pumps_agree(what: &str, [inline, ahead]: &[Outcome; 2]) {
+        assert_eq!(inline, ahead, "{what}: pulled ahead");
+    }
+
+    #[test]
+    fn pulled_ahead_matches_in_line_on_every_source_kind() {
+        use stbpu_trace::binfmt::{write_bin_trace, BinTraceReader};
+        use stbpu_trace::cbp::{write_cbp_trace, CbpReader};
+        use std::io::Cursor;
+
+        let p = profiles::by_name("apache2_prefork_c128").unwrap();
+        let make =
+            || -> Box<dyn EventSource> { Box::new(TraceGenerator::new(p, 21).into_source(30_000)) };
+        let out = both_pumps(&make, Some(2));
+        assert_eq!(out[0].0, None);
+        assert_eq!(out[0].1.branches, 29_700);
+        assert_eq!(out[0].2.len(), 43);
+        assert_pumps_agree("2-thread generator", &out);
+
+        let trace = TraceGenerator::new(p, 22).generate(20_000);
+        let mut stbt = Vec::new();
+        write_bin_trace(&trace, &mut stbt).unwrap();
+        let make = || -> Box<dyn EventSource + '_> {
+            Box::new(BinTraceReader::new(Cursor::new(&stbt[..])).unwrap())
+        };
+        let out = both_pumps(&make, Some(2));
+        assert_eq!(out[0].1.branches, 19_700);
+        assert_pumps_agree(".stbt reader", &out);
+
+        let trace = TraceGenerator::new(&WorkloadProfile::test_profile(), 23).generate(20_000);
+        let mut cbp = Vec::new();
+        write_cbp_trace(&trace, &mut cbp).unwrap();
+        let make = || -> Box<dyn EventSource + '_> {
+            Box::new(CbpReader::new(Cursor::new(&cbp[..])).unwrap())
+        };
+        let out = both_pumps(&make, None);
+        assert_eq!(out[0].1.branches, 19_700);
+        assert_pumps_agree(".cbp reader", &out);
+    }
+
+    #[test]
+    fn pulled_ahead_feeds_the_same_events_before_an_error() {
+        // The source fails mid-way through its fifth batch: the four full
+        // batches before it are fed, the partial fifth is not.
+        let make = || -> Box<dyn EventSource> {
+            Box::new(Stops {
+                inner: TraceGenerator::new(&WorkloadProfile::test_profile(), 24)
+                    .into_source(20_000),
+                after: 4 * RUN_BATCH + 100,
+                panics: false,
+            })
+        };
+        let out = both_pumps(&make, None);
+        assert_eq!(out[0].0.as_deref(), Some("event source failed: gave out"));
+        assert!(out[0].1.branches > 0);
+        assert_pumps_agree("failing source", &out);
+
+        // A branch on an unprovisioned thread half-way through the stream.
+        let mut trace = TraceGenerator::new(&WorkloadProfile::test_profile(), 25).generate(20_000);
+        let tail = trace.events()[10_000..].to_vec();
+        let mut bad = Trace::new(&trace.name);
+        bad.extend_from_slice(&trace.events()[..10_000]);
+        bad.push(TraceEvent::Branch {
+            tid: 3,
+            rec: BranchRecord::conditional(0x4000, true, 0x4100),
+        });
+        bad.extend_from_slice(&tail);
+        trace = bad;
+        let make = || -> Box<dyn EventSource + '_> { Box::new(trace.source()) };
+        let out = both_pumps(&make, Some(1));
+        assert_eq!(
+            out[0].0.as_deref(),
+            Some("trace event on thread 3 but only 1 threads provisioned")
+        );
+        assert_pumps_agree("thread out of range", &out);
+    }
+
+    #[test]
+    fn a_panicking_source_panics_the_pulled_ahead_run() {
+        let mut source = Stops {
+            inner: TraceGenerator::new(&WorkloadProfile::test_profile(), 26).into_source(20_000),
+            after: 3 * RUN_BATCH + 7,
+            panics: true,
+        };
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pump_with(&mut source, None, true)
+        }))
+        .expect_err("the stream must not end short");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"source gave out"));
+    }
+
+    /// Passes `inner` through and records whether it was ever pulled off
+    /// the thread that made it.
+    struct Watched<S> {
+        inner: S,
+        caller: std::thread::ThreadId,
+        pulled_elsewhere: bool,
+    }
+
+    impl<S: EventSource> Watched<S> {
+        fn new(inner: S) -> Self {
+            let caller = std::thread::current().id();
+            Watched {
+                inner,
+                caller,
+                pulled_elsewhere: false,
+            }
+        }
+    }
+
+    impl<S: EventSource> EventSource for Watched<S> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn thread_count(&self) -> usize {
+            self.inner.thread_count()
+        }
+
+        fn branch_hint(&self) -> Option<u64> {
+            self.inner.branch_hint()
+        }
+
+        fn in_memory(&self) -> bool {
+            self.inner.in_memory()
+        }
+
+        fn next_event(&mut self) -> Result<Option<TraceEvent>, SourceError> {
+            self.pulled_elsewhere |= std::thread::current().id() != self.caller;
+            self.inner.next_event()
+        }
+    }
+
+    #[test]
+    fn run_pulls_in_line_from_memory_and_when_the_cores_are_claimed() {
+        let run = |source: &mut dyn EventSource| {
+            let mut s = OwnedSession::new(skl_baseline(), Protection::Unprotected, opts_nowarm());
+            s.as_mut().unwrap().run(source).unwrap();
+        };
+        let trace = TraceGenerator::new(&WorkloadProfile::test_profile(), 27).generate(20_000);
+        let mut from_memory = Watched::new(trace.source());
+        run(&mut from_memory);
+        assert!(
+            !from_memory.pulled_elsewhere,
+            "a copy has nothing to overlap"
+        );
+
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let _claim = BusyCores::claim(cores);
+        let mut generated = Watched::new(
+            TraceGenerator::new(&WorkloadProfile::test_profile(), 27).into_source(20_000),
+        );
+        run(&mut generated);
+        assert!(!generated.pulled_elsewhere, "no core is spare");
     }
 
     #[test]

@@ -591,7 +591,7 @@ impl<R: Read> BinTraceReader<R> {
     }
 }
 
-impl<R: Read> EventSource for BinTraceReader<R> {
+impl<R: Read + Send> EventSource for BinTraceReader<R> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -813,7 +813,7 @@ impl RecordDecoder {
 ///
 /// Returns [`BinTraceError`] on header or record corruption; I/O errors
 /// carry the byte offset they occurred at.
-pub fn read_bin_trace<R: Read>(r: R) -> Result<Trace, BinTraceError> {
+pub fn read_bin_trace<R: Read + Send>(r: R) -> Result<Trace, BinTraceError> {
     let mut reader = BinTraceReader::new(r)?;
     let mut trace = Trace::new(reader.name());
     while let Some(ev) = reader.next_record()? {

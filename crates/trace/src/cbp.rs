@@ -357,7 +357,7 @@ impl<R: Read> CbpReader<R> {
     }
 }
 
-impl<R: Read> EventSource for CbpReader<R> {
+impl<R: Read + Send> EventSource for CbpReader<R> {
     fn name(&self) -> &str {
         CBP_TRACE_NAME
     }

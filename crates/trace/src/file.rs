@@ -257,7 +257,7 @@ pub fn open_trace_stream<R: Read>(
     })
 }
 
-impl<R: Read> EventSource for TraceStreamSource<R> {
+impl<R: Read + Send> EventSource for TraceStreamSource<R> {
     fn name(&self) -> &str {
         match self {
             TraceStreamSource::Line(r) => r.name(),

@@ -220,15 +220,7 @@ impl TraceGenerator {
             let n = self.rng.gen_range(SCHED_LEN.0..=SCHED_LEN.1);
             self.kernel_run(out, tid, n);
             plan.emitted += n as usize;
-            // Round-robin among this thread's processes.
-            let mine: Vec<usize> = (0..nproc)
-                .filter(|p| p % threads == tid % threads)
-                .collect();
-            let pos = mine
-                .iter()
-                .position(|&p| p == self.current[tid])
-                .unwrap_or(0);
-            let next = mine[(pos + 1) % mine.len()];
+            let next = next_process(self.current[tid], threads, nproc);
             self.current[tid] = next;
             out.push(TraceEvent::ContextSwitch {
                 tid: tid as u8,
@@ -365,6 +357,18 @@ impl EventSource for GeneratorSource {
     }
 }
 
+/// The process a thread's scheduler switches to from `current`: round
+/// robin over the thread's share of `nproc` processes, which the threads
+/// partition by index parity (process `p` runs on thread `p % threads`).
+fn next_process(current: usize, threads: usize, nproc: usize) -> usize {
+    let next = current + threads;
+    if next < nproc {
+        next
+    } else {
+        current % threads
+    }
+}
+
 // Not `snap::fnv1a64`: this multiplier is not the FNV prime, and it seeds every generated trace.
 fn hash_name(name: &str) -> u64 {
     name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
@@ -376,6 +380,24 @@ fn hash_name(name: &str) -> u64 {
 mod tests {
     use super::*;
     use crate::profiles;
+
+    #[test]
+    fn next_process_matches_the_partition_scan() {
+        for nproc in 1..=130 {
+            for threads in [1, 2].into_iter().filter(|&t| t <= nproc) {
+                for current in 0..nproc {
+                    let tid = current % threads;
+                    let mine: Vec<usize> = (0..nproc).filter(|p| p % threads == tid).collect();
+                    let pos = mine.iter().position(|&p| p == current).unwrap_or(0);
+                    assert_eq!(
+                        next_process(current, threads, nproc),
+                        mine[(pos + 1) % mine.len()],
+                        "nproc {nproc}, threads {threads}, current {current}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn exact_branch_count() {

@@ -461,7 +461,7 @@ impl<R: BufRead> TraceReader<R> {
     }
 }
 
-impl<R: BufRead> EventSource for TraceReader<R> {
+impl<R: BufRead + Send> EventSource for TraceReader<R> {
     fn name(&self) -> &str {
         &self.name
     }

@@ -126,8 +126,9 @@ impl From<std::io::Error> for SourceError {
 ///
 /// Implementations yield events strictly in order; once `next_event`
 /// returns `Ok(None)` the source is exhausted and must keep returning
-/// `Ok(None)`.
-pub trait EventSource {
+/// `Ok(None)`. Sources are `Send`, so a session's `run` can pull the next
+/// batches on another thread while the caller simulates the current one.
+pub trait EventSource: Send {
     /// Workload name (used in report labels).
     fn name(&self) -> &str;
 
@@ -159,6 +160,14 @@ pub trait EventSource {
             }
         }
         Ok(buf.len())
+    }
+
+    /// Whether [`EventSource::next_batch`] only copies events that are
+    /// already in memory, as a [`Trace`] view does. A session's `run`
+    /// pulls such a source in-line: a helper thread would have no work to
+    /// overlap with simulation. Defaults to `false`.
+    fn in_memory(&self) -> bool {
+        false
     }
 
     /// Skips up to `n` events without yielding them, returning how many
@@ -277,6 +286,10 @@ impl EventSource for TraceSource<'_> {
         let n = end - self.pos;
         self.pos = end;
         Ok(n)
+    }
+
+    fn in_memory(&self) -> bool {
+        true
     }
 
     fn skip_events(&mut self, n: u64) -> Result<u64, SourceError> {
